@@ -83,6 +83,7 @@ void BM_HeAvGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_HeAvGeneration);
 
+// Variable-base X25519: always the ladder, even on a repeated point.
 void BM_X25519(benchmark::State& state) {
   Rng rng(5);
   const Bytes scalar = rng.bytes(32);
@@ -95,8 +96,8 @@ BENCHMARK(BM_X25519);
 
 // Batched ladder throughput: scalar engine vs the 4-lane AVX2 kernel at
 // batch widths 1 / 4 / 8. Every iteration stamps fresh points (a
-// counter over random bytes) so no point is ever sighted twice and the
-// comb cache never graduates one — this isolates the ladder, which is
+// counter over random bytes) so no point is ever used twice and the
+// comb cache never builds a table — this isolates the ladder, which is
 // what the batch engine accelerates. Reported items/s are mults/s.
 void BM_X25519BatchLadder(benchmark::State& state) {
   const auto engine = state.range(1) == 0 ? crypto::X25519BatchEngine::kScalar

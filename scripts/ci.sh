@@ -22,9 +22,11 @@
 #                             # when clang-tidy is not installed
 #   scripts/ci.sh asan        # AddressSanitizer over the unit suite
 #   scripts/ci.sh ubsan       # UBSanitizer over the unit suite
-#   scripts/ci.sh tsan        # ThreadSanitizer over the Monte Carlo
-#                             # host-thread driver and the shard-pool
-#                             # shared state (comb cache, stats registry)
+#   scripts/ci.sh tsan        # ThreadSanitizer over the MonteCarlo
+#                             # hammers: shard-pool workers on shared
+#                             # state (stats registry, ephemeral pool,
+#                             # tickets) and on their own per-thread
+#                             # comb caches and buffer pools
 #   scripts/ci.sh bench-smoke # tiny wall-clock throughput run: validate
 #                             # the BENCH_throughput.json schema, pin the
 #                             # wire-pool / TLS-resumption hit rates and

@@ -7,10 +7,11 @@
 //    the same contracts lexically: a member marked SHIELD_GUARDED_BY(m)
 //    may only be touched inside a scope that acquired m (atomics: only
 //    writes need the lock — lock-free readers are a design point, see
-//    the x25519 publish slots); a function marked SHIELD_REQUIRES(m)
+//    TicketIssuer's epoch); a function marked SHIELD_REQUIRES(m)
 //    must be entered with m held and its body is checked as if it were.
 //    SHIELD_THREAD_CONFINED declares per-thread state (e.g. the
-//    thread_local BufferPool) that needs no lock by construction.
+//    thread_local BufferPool and X25519 fixed-point cache) that needs
+//    no lock by construction.
 //
 // The macros are deliberately a no-op for GCC/MSVC: they are contracts
 // first, attributes second.

@@ -14,8 +14,8 @@ namespace shield5g::crypto {
 namespace {
 
 // 0 = unset, 1 = scalar, 2 = accelerated. A single relaxed atomic keeps
-// the per-call dispatch branch cheap and safe under monte_carlo's host
-// threads.
+// the per-call dispatch branch cheap and safe under sim::ShardPool's
+// host threads.
 std::atomic<int> g_forced{0};
 
 struct CpuFeatures {

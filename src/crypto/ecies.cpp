@@ -89,12 +89,6 @@ EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
 }
 
 EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
-                              const X25519KeyPair& ephemeral) {
-  const X25519Key shared = x25519(ephemeral.private_key, receiver_public);
-  return encrypt_with(ephemeral, shared, plaintext);
-}
-
-EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
                               const X25519SharedKeyPair& prepared) {
   (void)receiver_public;  // the pool already bound prepared.shared to it
   return encrypt_with(prepared.kp, prepared.shared, plaintext);

@@ -39,18 +39,11 @@ Bytes x963_kdf(SecretView shared_secret, ByteView shared_info,
 EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
                               ByteView ephemeral_random);
 
-/// Variant consuming a pregenerated ephemeral key pair (see
-/// crypto/eph_pool.h): skips the fixed-base multiplication and pays
-/// only the shared-secret mult against the receiver key. Output is
-/// identical to the entropy variant fed the same ephemeral scalar.
-EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
-                              const X25519KeyPair& ephemeral);
-
 /// Variant consuming a pool-prepared pair whose shared secret against
 /// `receiver_public` was already computed (EphemeralKeyPool's batched
 /// acquire_shared): no scalar multiplication runs here at all. The
 /// caller asserts that `prepared.shared` was formed against this
-/// receiver key; output is identical to the other variants fed the
+/// receiver key; output is identical to the entropy variant fed the
 /// same ephemeral scalar.
 EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
                               const X25519SharedKeyPair& prepared);

@@ -116,13 +116,6 @@ void EphemeralKeyPool::fill_shared_locked(PeerSlot& slot, std::size_t count) {
   counter_add("x25519.pool.shared_keys", count);
 }
 
-X25519KeyPair EphemeralKeyPool::acquire() {
-  std::lock_guard<std::mutex> lock(mu_);
-  X25519KeyPair out = take_pair_locked();
-  counter_add("x25519.pool.hit");
-  return out;
-}
-
 X25519SharedKeyPair EphemeralKeyPool::acquire_shared(ByteView peer_public) {
   if (peer_public.size() != kX25519KeySize) {
     throw std::invalid_argument(
@@ -139,7 +132,7 @@ X25519SharedKeyPair EphemeralKeyPool::acquire_shared(ByteView peer_public) {
   X25519SharedKeyPair out = std::move(slot.ready.front());
   slot.ready.erase(slot.ready.begin());
   // Bill the consumer for the one variable-base mult a serial
-  // acquire()+x25519() would have charged here, keeping virtual-time
+  // pop-then-x25519() would have charged here, keeping virtual-time
   // accounting bit-identical to the unbatched path.
   {
     ScopedStage timer(HotStage::kCrypto);

@@ -5,9 +5,8 @@
 // fixed-base multiplication that mints the ephemeral key pair — work
 // that depends on nothing but entropy and can run off the critical
 // path. This pool pregenerates key pairs in batches from its own
-// deterministic RNG stream: consumers (the Bus's client handshakes and
-// the UE's SUCI conceal) pop a ready pair and pay only the single
-// variable-base multiplication against the peer key.
+// deterministic RNG stream, one x25519_batch() on the base point per
+// refill.
 //
 // PR 7 extends the pool with per-peer *shared-secret* precompute:
 // consumers that talk to a stable peer key (the home-network SUCI key,
@@ -60,18 +59,16 @@ class EphemeralKeyPool {
   EphemeralKeyPool(const EphemeralKeyPool&) = delete;
   EphemeralKeyPool& operator=(const EphemeralKeyPool&) = delete;
 
-  /// Pops one pregenerated key pair, refilling the ring first when it
-  /// has run dry. Thread-safe: shard hammers may acquire concurrently,
-  /// though in normal operation a pool belongs to one slice.
-  X25519KeyPair acquire();
-
   /// Pops a key pair together with its precomputed shared secret
   /// against `peer_public` (32 bytes). Charges the consumer's op meter
-  /// exactly one x25519 op — the same bill as acquire() followed by a
-  /// serial x25519() against the peer — so virtual-time accounting is
-  /// unchanged; the mult itself ran off-meter in a prepared group. A
-  /// cold peer prepares a single pair; peers with repeat traffic
-  /// prepare kSharedBatch at a time so the mults batch 4-wide.
+  /// exactly one x25519 op — the same bill as popping a pregenerated
+  /// key pair and running a serial x25519() against the peer — so
+  /// virtual-time accounting is unchanged; the mult itself ran
+  /// off-meter in a prepared group. A cold peer prepares a single pair;
+  /// peers with repeat traffic prepare kSharedBatch at a time so the
+  /// mults batch 4-wide. Thread-safe: shard hammers may acquire
+  /// concurrently, though in normal operation a pool belongs to one
+  /// slice.
   X25519SharedKeyPair acquire_shared(ByteView peer_public);
 
   /// Ensures at least `count` prepared pairs are ready for

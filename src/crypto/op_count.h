@@ -6,7 +6,7 @@
 // real code performs rather than by a hard-coded per-handler constant.
 //
 // Counters are thread_local: a handler (and its OpMeter) always runs to
-// completion on one thread, while load::monte_carlo fans jobs out across
+// completion on one thread, while sim::ShardPool fans shards out across
 // host threads — per-thread counters keep each job's delta exact without
 // putting atomics on the per-block hot path.
 #pragma once

@@ -126,12 +126,6 @@ Suci conceal_supi(const std::string& mcc, const std::string& mnc,
 
 Suci conceal_supi(const std::string& mcc, const std::string& mnc,
                   const std::string& msin, SuciScheme scheme,
-                  ByteView hn_public, const X25519KeyPair& ephemeral) {
-  return conceal_supi_impl(mcc, mnc, msin, scheme, hn_public, ephemeral);
-}
-
-Suci conceal_supi(const std::string& mcc, const std::string& mnc,
-                  const std::string& msin, SuciScheme scheme,
                   ByteView hn_public, const X25519SharedKeyPair& prepared) {
   return conceal_supi_impl(mcc, mnc, msin, scheme, hn_public, prepared);
 }

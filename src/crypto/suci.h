@@ -43,13 +43,6 @@ Suci conceal_supi(const std::string& mcc, const std::string& mnc,
                   const std::string& msin, SuciScheme scheme,
                   ByteView hn_public, ByteView ephemeral_random);
 
-/// Variant consuming a pregenerated ephemeral key pair from the
-/// precompute pool (crypto/eph_pool.h): identical output for the same
-/// ephemeral scalar, one scalar mult instead of two.
-Suci conceal_supi(const std::string& mcc, const std::string& mnc,
-                  const std::string& msin, SuciScheme scheme,
-                  ByteView hn_public, const X25519KeyPair& ephemeral);
-
 /// Variant consuming a pool-prepared pair with the shared secret
 /// against `hn_public` already computed (batched off the critical
 /// path): zero scalar mults in-line. Identical output for the same

@@ -1,15 +1,14 @@
 #include "crypto/x25519.h"
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstring>
-#include <mutex>
-
-#include "common/thread_annotations.h"
 #include <stdexcept>
-#include <vector>
 
 #include "common/hot_stage.h"
+#include "common/lru_cache.h"
+#include "common/stats.h"
+#include "common/thread_annotations.h"
 #include "crypto/cpu_dispatch.h"
 #include "crypto/fe25519.h"
 #include "crypto/op_count.h"
@@ -73,30 +72,19 @@ X25519Key ladder(const std::uint8_t k[32], ByteView u) {
   return result;
 }
 
-// Comb-table cache, shared across every shard worker of a parallel
-// sweep. Registrations hammer a stable working set — the base point,
-// the home network's ECIES key, and every attached server's TLS
-// identity — and under the shard pool (sim/shard_pool.h) all workers
-// hammer the *same* points, so a table built once serves the process.
-//
-// Concurrency layout, from hot to cold:
-//  * Hit path: a fixed array of published slots, each an atomic pointer
-//    to an immutable entry (point + built table, or a remembered
-//    unliftable twist point). Readers scan count-then-slots with one
-//    acquire load and take no lock — the hit path is wait-free.
-//  * Miss path: sighting counts live in a small per-thread candidate
-//    LRU (the pre-PR design), so one-shot ephemeral points never touch
-//    shared state and never contend.
-//  * Build path: a point that crosses kBuildThreshold sightings in one
-//    thread takes the publish mutex, re-checks the shared slots (some
-//    other worker may have won the race), builds the ~60 KiB table
-//    exactly once per point process-wide, and release-publishes it.
-// Published entries are immutable until detail::x25519_cache_reset(),
-// a single-threaded test hook. When all slots fill (64 tables ≈ 4 MiB)
-// later points simply keep the ladder — candidates remember giving up.
-constexpr int kBuildThreshold = 4;
-constexpr std::size_t kMaxCandidates = 32;
-constexpr std::size_t kSharedSlots = 64;
+// Fixed-point comb tables. Only the fixed-point entry points below
+// consult them; x25519() is variable-base and always takes the ladder.
+// The base point has one immutable table per process. Any other fixed
+// point (a server's TLS identity, the home network's ECIES key) is
+// counted in a per-thread LRU and gets its own table on its
+// kBuildThreshold-th use. A build costs about five ladders, so a point
+// used fewer times, such as Slice::create's one-shot NRF registrations,
+// never pays for one. An unliftable (twist) point is remembered with a
+// null table and keeps the ladder.
+constexpr int kBuildThreshold = 6;
+constexpr std::size_t kCachedPoints = 16;  // ~60 KiB table each
+
+constexpr std::array<std::uint8_t, 32> kBasePoint = {9};
 
 bool same_u(const std::array<std::uint8_t, 32>& a, const std::uint8_t* b) {
   std::uint8_t acc = 0;
@@ -106,109 +94,42 @@ bool same_u(const std::array<std::uint8_t, 32>& a, const std::uint8_t* b) {
   return acc == 0;
 }
 
-struct SharedEntry {
-  std::array<std::uint8_t, 32> u{};
-  detail::CombTablePtr table;  // null = unliftable twist point, memoized
-};
-
-struct SharedCache {
-  // Atomic: comb_lookup readers scan lock-free; publication (slot
-  // store + count bump) happens only under publish_mutex.
-  std::array<std::atomic<const SharedEntry*>, kSharedSlots> slots
-      SHIELD_GUARDED_BY(publish_mutex){};
-  std::atomic<std::size_t> count SHIELD_GUARDED_BY(publish_mutex){0};
-  std::mutex publish_mutex;
-};
-
-SharedCache& shared_cache() {
-  // Leaked on purpose: workers may run x25519 during late teardown.
-  static SharedCache* cache = new SharedCache;
-  return *cache;
-}
-
-// Wait-free reader: the release store on `count` orders the slot and
-// entry writes before it, so any slot below an acquired count is fully
-// published.
-const SharedEntry* shared_find(const std::uint8_t* u) {
-  SharedCache& cache = shared_cache();
-  const std::size_t n = cache.count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < n; ++i) {
-    const SharedEntry* entry = cache.slots[i].load(std::memory_order_relaxed);
-    if (entry != nullptr && same_u(entry->u, u)) return entry;
-  }
-  return nullptr;
-}
-
-// Builds and publishes the table for `u` (or its unliftable verdict).
-// Returns the published entry, or nullptr when the cache is full.
-const SharedEntry* shared_publish(const std::uint8_t* u) {
-  SharedCache& cache = shared_cache();
-  const std::lock_guard<std::mutex> lock(cache.publish_mutex);
-  if (const SharedEntry* raced = shared_find(u)) return raced;  // lost race
-  const std::size_t n = cache.count.load(std::memory_order_relaxed);
-  if (n >= kSharedSlots) return nullptr;
-  auto* entry = new SharedEntry;
-  std::memcpy(entry->u.data(), u, 32);
-  entry->table = detail::comb_build(u);  // null when the point won't lift
-  cache.slots[n].store(entry, std::memory_order_relaxed);
-  cache.count.store(n + 1, std::memory_order_release);
-  return entry;
-}
-
-// Per-thread sighting counts for points not (yet) published. Eviction
-// is least-recently-used: one-shot ephemerals churn through the tail
-// while repeated points accumulate uses and graduate to the shared
-// slots.
-struct Candidate {
-  std::array<std::uint8_t, 32> u;
+struct CachedPoint {
   int uses = 0;
-  std::uint64_t last_use = 0;
-  bool gave_up = false;  // shared cache was full at graduation time
+  detail::CombTablePtr table;  // null until built, or when u won't lift
 };
 
-thread_local std::vector<Candidate> t_candidates;
-thread_local std::uint64_t t_comb_tick = 0;
+using PointCache = LruCache<std::array<std::uint8_t, 32>, CachedPoint>;
 
-// Returns the table to use for `u`, or nullptr to take the ladder.
-const detail::CombTable* comb_lookup(ByteView u) {
-  if (const SharedEntry* entry = shared_find(u.data())) {
-    return entry->table.get();
-  }
-  for (auto& cand : t_candidates) {
-    if (!same_u(cand.u, u.data())) continue;
-    cand.last_use = ++t_comb_tick;
-    if (cand.gave_up) return nullptr;
-    if (++cand.uses < kBuildThreshold) return nullptr;
-    const SharedEntry* entry = shared_publish(u.data());
-    if (entry == nullptr) {
-      cand.gave_up = true;
-      return nullptr;
-    }
-    return entry->table.get();
-  }
-  Candidate fresh;
-  std::memcpy(fresh.u.data(), u.data(), 32);
-  fresh.uses = 1;
-  fresh.last_use = ++t_comb_tick;
-  if (t_candidates.size() < kMaxCandidates) {
-    t_candidates.push_back(fresh);
-    return nullptr;
-  }
-  Candidate* victim = &t_candidates.front();
-  for (auto& cand : t_candidates) {
-    if (cand.last_use < victim->last_use) victim = &cand;
-  }
-  *victim = fresh;
-  return nullptr;
+PointCache& point_cache() {
+  thread_local PointCache cache SHIELD_THREAD_CONFINED(kCachedPoints);
+  return cache;
 }
 
-// One scalar multiplication up to (not including) its final inversion,
-// taking the comb fast path when a table exists for `u`.
-void mult_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
-  const detail::CombTable* table =
-      active_backend() == CryptoBackend::kAccelerated ? comb_lookup(u)
-                                                      : nullptr;
-  if (table != nullptr) {
+// Returns the table to use for fixed point `u`, or nullptr to take the
+// ladder. Counts one use of `u` unless it is the base point.
+const detail::CombTable* fixed_table(ByteView u) {
+  if (active_backend() != CryptoBackend::kAccelerated) return nullptr;
+  if (same_u(kBasePoint, u.data())) {
+    static const detail::CombTablePtr base =
+        detail::comb_build(kBasePoint.data());
+    return base.get();
+  }
+  std::array<std::uint8_t, 32> key{};
+  std::copy(u.begin(), u.end(), key.begin());
+  PointCache& cache = point_cache();
+  CachedPoint* point = cache.find(key);
+  if (point == nullptr) point = &cache.insert(key, CachedPoint{});
+  if (point->uses < kBuildThreshold && ++point->uses == kBuildThreshold) {
+    point->table = detail::comb_build(u.data());
+    counter_add("x25519.comb.build");
+  }
+  return point->table.get();
+}
+
+// One fixed-point mult up to (not including) its final inversion.
+void fixed_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
+  if (const detail::CombTable* table = fixed_table(u)) {
     detail::comb_eval_fraction(*table, k, num, den);
   } else {
     ladder_fraction(k, u, num, den);
@@ -223,15 +144,7 @@ X25519Key x25519(SecretView scalar, ByteView u) {
   }
   ScopedStage timer(HotStage::kCrypto);
   ++op_counts().x25519_ops;
-  std::uint8_t k[32];
-  clamp(k, scalar);
-
-  Fe num, den;
-  mult_fraction(k, u, num, den);
-  X25519Key result{};
-  fe_store(result.data(), fe_mul(num, fe_invert(den)));
-  secure_zero(k, sizeof(k));
-  return result;
+  return detail::x25519_ladder(scalar, u);
 }
 
 X25519KeyPair x25519_keypair_shared(ByteView random32, ByteView peer_public,
@@ -247,10 +160,9 @@ X25519KeyPair x25519_keypair_shared(ByteView random32, ByteView peer_public,
   std::uint8_t k[32];
   clamp(k, kp.private_key);
 
-  std::uint8_t base[32] = {9};
   Fe n1, d1, n2, d2;
-  mult_fraction(k, ByteView(base, 32), n1, d1);
-  mult_fraction(k, peer_public, n2, d2);
+  fixed_fraction(k, ByteView(kBasePoint), n1, d1);
+  fixed_fraction(k, peer_public, n2, d2);
   secure_zero(k, sizeof(k));
 
   // Batched inversion, zero-safe: a zero denominator (low-order peer
@@ -272,8 +184,19 @@ X25519KeyPair x25519_keypair_shared(ByteView random32, ByteView peer_public,
 }
 
 X25519Key x25519_public(SecretView scalar) {
-  std::uint8_t base[32] = {9};
-  return x25519(scalar, ByteView(base, 32));
+  if (scalar.size() != 32) {
+    throw std::invalid_argument("x25519: inputs must be 32 bytes");
+  }
+  ScopedStage timer(HotStage::kCrypto);
+  ++op_counts().x25519_ops;
+  std::uint8_t k[32];
+  clamp(k, scalar);
+  Fe num, den;
+  fixed_fraction(k, ByteView(kBasePoint), num, den);
+  secure_zero(k, sizeof(k));
+  X25519Key result{};
+  fe_store(result.data(), fe_mul(num, fe_invert(den)));
+  return result;
 }
 
 X25519KeyPair x25519_keypair(ByteView random32) {
@@ -300,15 +223,7 @@ void x25519_ladder_fraction(const std::uint8_t k[32], ByteView u,
   ladder_fraction(k, u, num, den);
 }
 
-void x25519_mult_fraction(const std::uint8_t k[32], ByteView u,
-                          fe25519::Fe& num, fe25519::Fe& den) {
-  mult_fraction(k, u, num, den);
-}
-
-const CombTable* x25519_batch_comb_lookup(ByteView u) {
-  if (active_backend() != CryptoBackend::kAccelerated) return nullptr;
-  return comb_lookup(u);
-}
+const CombTable* x25519_fixed_table(ByteView u) { return fixed_table(u); }
 
 X25519Key x25519_ladder(SecretView scalar, ByteView u) {
   if (scalar.size() != 32 || u.size() != 32) {
@@ -342,23 +257,9 @@ bool x25519_comb_liftable(ByteView u) {
   return comb_build(u.data()) != nullptr;
 }
 
-void x25519_cache_reset() {
-  // Test hook, single-threaded by contract: frees published entries,
-  // which is only safe while no other thread is inside comb_lookup.
-  t_candidates.clear();
-  SharedCache& cache = shared_cache();
-  const std::lock_guard<std::mutex> lock(cache.publish_mutex);
-  const std::size_t n = cache.count.load(std::memory_order_relaxed);
-  cache.count.store(0, std::memory_order_release);
-  for (std::size_t i = 0; i < n; ++i) {
-    delete cache.slots[i].load(std::memory_order_relaxed);
-    cache.slots[i].store(nullptr, std::memory_order_relaxed);
-  }
-}
+void x25519_cache_reset() { point_cache().clear(); }
 
-std::size_t x25519_cache_size() {
-  return shared_cache().count.load(std::memory_order_acquire);
-}
+std::size_t x25519_cache_size() { return point_cache().size(); }
 
 }  // namespace detail
 

@@ -18,10 +18,14 @@ constexpr std::size_t kX25519KeySize = 32;
 using X25519Key = std::array<std::uint8_t, kX25519KeySize>;
 
 /// Computes X25519(scalar, u). Both arguments are 32 bytes; the scalar
-/// is the private key and is tainted.
+/// is the private key and is tainted. Variable-base: for a point seen
+/// once, such as a peer's ephemeral key, it always runs the ladder.
 X25519Key x25519(SecretView scalar, ByteView u);
 
-/// Public key for a private scalar: X25519(scalar, 9).
+/// Public key for a private scalar: X25519(scalar, 9). This and the
+/// other fixed-point entry points (x25519_keypair, the peer of
+/// x25519_keypair_shared, x25519_batch) may take the Edwards comb
+/// (crypto/x25519_comb.h); the output is the same either way.
 X25519Key x25519_public(SecretView scalar);
 
 /// Key pair generated from 32 random bytes (clamped internally by the

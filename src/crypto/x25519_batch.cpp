@@ -104,29 +104,13 @@ void x25519_batch(X25519BatchItem* items, std::size_t n) {
     detail::x25519_clamp(ks[i].data(), items[i].scalar);
   }
 
-  const X25519BatchEngine engine = x25519_batch_engine();
-  if (engine == X25519BatchEngine::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) {
-      Fe num, den;
-      detail::x25519_mult_fraction(ks[i].data(), items[i].point, num, den);
-      finish_item(num, den, items[i].out);
-    }
-    secure_zero(ks.data(), n * sizeof(ks[0]));
-    return;
-  }
-
-  // Vector engines: one comb-cache lookup per point (identical
-  // sighting / graduation behavior to the serial path); comb hits
-  // evaluate right away, ladder-bound points queue for the 4-lane
-  // kernel — IFMA or AVX2, same batching shape.
-  const auto ladder4 = engine == X25519BatchEngine::kIfma
-                           ? detail::x25519_ifma_ladder4
-                           : detail::x25519_x4_ladder4;
+  // Every item is one fixed-point use. Comb-served points evaluate
+  // right away; the ladder-bound rest run 4 at a time through the
+  // vector engine (IFMA or AVX2, same batching shape), if there is one.
   std::vector<std::size_t> ladder_queue;
   ladder_queue.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const detail::CombTable* table =
-        detail::x25519_batch_comb_lookup(items[i].point);
+    const detail::CombTable* table = detail::x25519_fixed_table(items[i].point);
     if (table != nullptr) {
       Fe num, den;
       detail::comb_eval_fraction(*table, ks[i].data(), num, den);
@@ -136,8 +120,13 @@ void x25519_batch(X25519BatchItem* items, std::size_t n) {
     }
   }
 
+  const X25519BatchEngine engine = x25519_batch_engine();
+  const bool four_lane = engine != X25519BatchEngine::kScalar;
+  const auto ladder4 = engine == X25519BatchEngine::kIfma
+                           ? detail::x25519_ifma_ladder4
+                           : detail::x25519_x4_ladder4;
   std::size_t q = 0;
-  for (; q + 4 <= ladder_queue.size(); q += 4) {
+  for (; four_lane && q + 4 <= ladder_queue.size(); q += 4) {
     std::uint8_t k4[4][32];
     const std::uint8_t* u4[4];
     std::uint8_t out4[4][32];
@@ -153,8 +142,7 @@ void x25519_batch(X25519BatchItem* items, std::size_t n) {
     secure_zero(k4, sizeof(k4));
   }
   for (; q < ladder_queue.size(); ++q) {
-    // Partial group: scalar ladder (no second comb lookup — the
-    // sighting above already counted).
+    // Scalar engine or a partial group: the serial ladder.
     const std::size_t idx = ladder_queue[q];
     Fe num, den;
     detail::x25519_ladder_fraction(ks[idx].data(), items[idx].point, num, den);

@@ -1,22 +1,23 @@
 // Batched X25519: many independent scalar mults per call.
 //
-// The serving hot path generates scalar mults in bursts — a pool refill
-// mints 64 fixed-base keys, a scheduler tick lands several SUCI
-// conceals, a ServiceQueue busy window queues several first-contact
-// handshakes. x25519_batch() executes such a burst through the 4-lane
-// AVX2 ladder (crypto/fe25519x4.h): four mults run in lock-step vector
-// lanes, each lane bit-identical to the scalar ladder.
+// The ephemeral-key pool (crypto/eph_pool.h) generates scalar mults in
+// bursts: a refill mints a ring of keys (64 by default) on the base
+// point, and a static-peer fill prepares shared secrets against one
+// peer key, 4 at a time or a whole prewarmed burst.
+// x25519_batch() executes such a burst through a 4-lane vector ladder
+// (crypto/fe25519x4.h, crypto/fe25519ifma.h): four mults run in
+// lock-step lanes, each lane bit-identical to the scalar ladder.
 //
 // Contracts:
 //   * Bit-identity: outputs equal n serial crypto::x25519() calls, byte
 //     for byte, on every input (twist points and u = 0 included) — the
-//     scalar path stays the oracle, enforced by kernel_parity_test.
+//     scalar ladder stays the oracle, enforced by kernel_parity_test.
 //   * Op-count neutrality: charges exactly n x25519 ops to the calling
 //     thread's meter, same as n serial calls, so virtual-time results
 //     do not depend on which engine ran.
-//   * Comb interplay: each point takes exactly one comb-cache lookup
-//     (same sighting/graduation behavior as the serial path); points
-//     with a published comb table use it, only ladder-bound points are
+//   * Fixed points: every item is one use of its point in the fixed-
+//     point comb cache (crypto/x25519_internal.h, x25519_fixed_table).
+//     Points with a comb table use it; only ladder-bound points are
 //     grouped into vector lanes.
 //   * Dispatch: vector engines run only when the binary carries the
 //     kernels, the CPU has the ISA, and the accel backend is active
@@ -51,7 +52,7 @@ struct X25519BatchItem {
 void x25519_batch(X25519BatchItem* items, std::size_t n);
 
 enum class X25519BatchEngine {
-  kScalar,  // per-item scalar path (comb-aware), the oracle
+  kScalar,  // per-item serial ladder for ladder-bound points
   kX4,      // 4-lane AVX2 ladder for ladder-bound points
   kIfma,    // 4-lane AVX-512 IFMA ladder (vpmadd52), preferred when the
             // CPU offers it; same batching shape as kX4
@@ -63,11 +64,11 @@ X25519BatchEngine x25519_batch_engine() noexcept;
 /// "scalar" / "x4" / "ifma" for reports.
 const char* x25519_batch_engine_name(X25519BatchEngine engine) noexcept;
 
-/// Deterministic cross-request mult accumulator: callers enqueue
-/// independent mults as a burst materializes and flush() executes them
-/// in enqueue order through x25519_batch(). Single-threaded by design —
-/// owned by whoever owns the burst (pool refill, generator tick).
-/// Enqueued views must outlive the flush.
+/// Deterministic mult accumulator: callers enqueue independent mults as
+/// a burst materializes and flush() executes them in enqueue order
+/// through x25519_batch(). Single-threaded by design — owned by whoever
+/// owns the burst (a pool refill or static-peer fill). Enqueued views
+/// must outlive the flush.
 class MultBatcher {
  public:
   void enqueue(SecretView scalar, ByteView point, X25519Key* out) {

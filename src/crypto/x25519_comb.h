@@ -10,8 +10,10 @@
 // not lift (the curve's quadratic twist, or u = -1) keep the ladder.
 //
 // The output u-coordinate is bit-identical to the ladder's: both paths
-// canonicalize the same field element. Virtual-time op counts are
-// charged by the public x25519() entry point regardless of path.
+// canonicalize the same field element. Only the fixed-point entry
+// points use the comb (x25519.cpp): the base point through one static
+// table, any other point through a per-thread LRU of 16 tables, built
+// on a point's 6th use. They charge the same op counts on either path.
 #pragma once
 
 #include <cstdint>

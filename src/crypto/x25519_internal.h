@@ -1,8 +1,10 @@
 // Internal X25519 entry points for parity tests and benchmarks.
 //
-// Production code calls crypto::x25519(), which picks the fast path on
-// its own. These hooks let tests pin a specific path and assert that
-// the Montgomery ladder and the Edwards comb agree bit for bit.
+// Production code calls the public entry points: x25519() always runs
+// the ladder, and the fixed-point ones (x25519_public, x25519_keypair,
+// x25519_keypair_shared, x25519_batch) pick the comb on their own.
+// These hooks let tests pin a specific path and assert that the
+// Montgomery ladder and the Edwards comb agree bit for bit.
 #pragma once
 
 #include "crypto/x25519.h"
@@ -21,35 +23,26 @@ void x25519_clamp(std::uint8_t k[32], SecretView scalar);
 void x25519_ladder_fraction(const std::uint8_t k[32], ByteView u,
                             fe25519::Fe& num, fe25519::Fe& den);
 
-/// Like x25519_ladder_fraction but comb-aware: takes the comb fast
-/// path when the accel backend is active and a table exists for `u`
-/// (recording the sighting either way) — the exact path the public
-/// x25519() takes. Does not charge op counts.
-void x25519_mult_fraction(const std::uint8_t k[32], ByteView u,
-                          fe25519::Fe& num, fe25519::Fe& den);
+/// The comb table for fixed point `u`, or nullptr to take the ladder
+/// (always under the scalar backend). The base point has a table from
+/// the first call. For any other point each call counts one use in
+/// this thread's cache, and the point gets a table on its 6th use; the
+/// 17th distinct point evicts the least recently used one.
+const CombTable* x25519_fixed_table(ByteView u);
 
-/// One comb-cache lookup for `u` (accel backend only; nullptr under the
-/// scalar backend or when the point is ladder-bound). Counts as a
-/// sighting for graduation, exactly like the serial path's lookup —
-/// batch callers must call this at most once per point per mult.
-const CombTable* x25519_batch_comb_lookup(ByteView u);
-
-/// Edwards comb, unconditionally (builds a throwaway table when the
-/// point is not already cached). Throws std::invalid_argument when the
+/// Edwards comb, unconditionally, through a throwaway table. Throws std::invalid_argument when the
 /// point does not lift to edwards25519. Does not charge op counts.
 X25519Key x25519_comb_forced(SecretView scalar, ByteView u);
 
 /// True when `u` lifts to edwards25519 (i.e. the comb can serve it).
 bool x25519_comb_liftable(ByteView u);
 
-/// Drops the process-wide shared comb-table cache and this thread's
-/// candidate sighting counts (tests reset between cases). Must be
-/// called while no other thread is evaluating x25519 — published
-/// entries are freed here and readers take no lock.
+/// Drops this thread's fixed-point cache: use counts and tables (tests
+/// reset between cases). The base point's table stays.
 void x25519_cache_reset();
 
-/// Number of comb-table entries currently published in the shared
-/// cache (unliftable verdicts included).
+/// Points this thread's fixed-point cache currently remembers, with or
+/// without a table (unliftable verdicts included).
 std::size_t x25519_cache_size();
 
 }  // namespace shield5g::crypto::detail

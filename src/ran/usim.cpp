@@ -27,12 +27,6 @@ crypto::Suci Usim::make_suci(ByteView ephemeral_random) const {
                               config_.hn_public, ephemeral_random);
 }
 
-crypto::Suci Usim::make_suci(const crypto::X25519KeyPair& ephemeral) const {
-  return crypto::conceal_supi(config_.plmn.mcc, config_.plmn.mnc,
-                              config_.msin, config_.suci_scheme,
-                              config_.hn_public, ephemeral);
-}
-
 crypto::Suci Usim::make_suci(
     const crypto::X25519SharedKeyPair& prepared) const {
   return crypto::conceal_supi(config_.plmn.mcc, config_.plmn.mnc,

@@ -62,10 +62,6 @@ class Usim {
   /// supplies the 32 ECIES ephemeral bytes.
   crypto::Suci make_suci(ByteView ephemeral_random) const;
 
-  /// Variant consuming a pregenerated ephemeral key pair (from the
-  /// precompute pool): one scalar mult instead of two.
-  crypto::Suci make_suci(const crypto::X25519KeyPair& ephemeral) const;
-
   /// Variant consuming a pool-prepared pair whose shared secret against
   /// the home-network key was precomputed in a batch: zero in-line
   /// scalar mults. Identical SUCI for the same ephemeral scalar.

@@ -14,6 +14,7 @@
 
 #include "common/hex.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "crypto/aes128.h"
 #include "crypto/cpu_dispatch.h"
 #include "crypto/hmac_sha256.h"
@@ -64,6 +65,9 @@ auto with_backend(CryptoBackend b, Fn&& fn) {
   ForcedBackend guard(b);
   return fn();
 }
+
+// Bumped once each time the fixed-point cache builds a comb table.
+constexpr const char* kCombBuild = "x25519.comb.build";
 
 // ---------------------------------------------------------------------
 // AES-128
@@ -342,18 +346,20 @@ TEST(KernelParity, X25519PublicPathCachesAndStaysBitIdentical) {
   detail::x25519_cache_reset();
   Rng rng(0x25519'04);
   const Bytes scalar = rng.bytes(32);
-  // Scalar backend: pure ladder, never touches the cache.
+  // Scalar backend: pure ladder, never touches a comb table.
   const auto reference = with_backend(CryptoBackend::kScalar, [&] {
     return x25519_public(scalar);
   });
-  // Accelerated backend: the base point crosses the build threshold and
-  // switches to the comb; outputs must not change at the switch.
+  // Accelerated backend: the base point takes its static comb table
+  // from the first call, so it never enters the per-thread cache.
   ForcedBackend guard(CryptoBackend::kAccelerated);
+  const std::uint64_t builds = counter_value(kCombBuild);
   for (int i = 0; i < 10; ++i) {
     const auto out = x25519_public(scalar);
     ASSERT_EQ(hex_encode(out), hex_encode(reference)) << "call " << i;
   }
-  EXPECT_EQ(detail::x25519_cache_size(), 1u);
+  EXPECT_EQ(detail::x25519_cache_size(), 0u);
+  EXPECT_EQ(counter_value(kCombBuild), builds);
   detail::x25519_cache_reset();
 }
 
@@ -524,40 +530,38 @@ TEST(KernelParity, X25519BatchOpCountNeutral) {
 }
 
 TEST(KernelParity, X25519BatchCombInterplayStaysBitIdentical) {
-  // A batch mixing comb-served lanes (the graduated base point) with
-  // ladder-bound lanes must stay bit-identical to the serial path, and
-  // the batch's cache lookups must graduate points exactly like serial
-  // calls do.
+  // A batch mixing comb-served lanes (the base point from the first
+  // round, a static peer from its 6th use) with ladder-bound lanes
+  // (fresh points) must stay bit-identical to the ladder, and every
+  // item must count as one use of its point, as a serial call would.
   detail::x25519_cache_reset();
   ForcedBackend backend(CryptoBackend::kAccelerated);
   ForcedBatchEngine engine(X25519BatchEngine::kX4);
   Bytes base(32, 0);
   base[0] = 9;
   Rng rng(0x25519'14);
-  const Bytes scalar = rng.bytes(32);
-  const auto reference = with_backend(CryptoBackend::kScalar, [&] {
-    return x25519_public(scalar);
-  });
-  for (int round = 0; round < 6; ++round) {
+  const X25519Key peer_key = x25519_public(rng.bytes(32));
+  const Bytes peer(peer_key.begin(), peer_key.end());
+  const std::uint64_t builds = counter_value(kCombBuild);
+  for (int round = 0; round < 8; ++round) {
     Bytes scalars[4], points[4];
     X25519Key outs[4];
     X25519BatchItem items[4];
     for (int l = 0; l < 4; ++l) {
-      scalars[l] = l == 0 ? scalar : rng.bytes(32);
-      points[l] = l == 0 ? base : rng.bytes(32);
+      scalars[l] = rng.bytes(32);
+      points[l] = l == 0 ? base : l == 1 ? peer : rng.bytes(32);
       items[l] = X25519BatchItem{scalars[l], points[l], &outs[l]};
     }
     x25519_batch(items, 4);
-    ASSERT_EQ(hex_encode(outs[0]), hex_encode(reference)) << "round " << round;
-    for (int l = 1; l < 4; ++l) {
+    for (int l = 0; l < 4; ++l) {
       ASSERT_EQ(hex_encode(outs[l]),
                 hex_encode(detail::x25519_ladder(scalars[l], points[l])))
           << "round " << round << " lane " << l;
     }
+    // The peer's table is built on its 6th use, in round 5.
+    EXPECT_EQ(counter_value(kCombBuild) - builds, round >= 5 ? 1u : 0u)
+        << "round " << round;
   }
-  // One sighting per batch: the base point crossed kBuildThreshold and
-  // published its table, exactly as 6 serial calls would have.
-  EXPECT_EQ(detail::x25519_cache_size(), 1u);
   detail::x25519_cache_reset();
 }
 
@@ -592,6 +596,119 @@ TEST(KernelParity, MultBatcherFlushesInOrder) {
         << "item " << i;
   }
   batcher.flush();  // empty flush is a no-op
+  detail::x25519_cache_reset();
+}
+
+// ---------------------------------------------------------------------
+// X25519: the per-thread fixed-point comb cache
+// ---------------------------------------------------------------------
+
+// Distinct points that lift to edwards25519: public keys of random
+// scalars are multiples of the base point.
+std::vector<Bytes> curve_points(std::size_t n, std::uint64_t seed) {
+  Bytes base(32, 0);
+  base[0] = 9;
+  Rng rng(seed);
+  std::vector<Bytes> points;
+  for (std::size_t i = 0; i < n; ++i) {
+    const X25519Key pub = detail::x25519_ladder(rng.bytes(32), base);
+    points.emplace_back(pub.begin(), pub.end());
+  }
+  return points;
+}
+
+TEST(X25519CombCache, ManyStaticPeersEachGetATable) {
+  // A redeploying core meets fresh server and home-network keys on
+  // every deployment. Each of 100 distinct peers, used 6 times, must
+  // get its own table, with no process-wide cap on how many points
+  // ever do.
+  detail::x25519_cache_reset();
+  ForcedBackend backend(CryptoBackend::kAccelerated);
+  const std::vector<Bytes> peers = curve_points(100, 0x25519'20);
+  Bytes base(32, 0);
+  base[0] = 9;
+  Rng rng(0x25519'21);
+  for (std::size_t p = 0; p < peers.size(); ++p) {
+    const std::uint64_t builds = counter_value(kCombBuild);
+    for (int use = 0; use < 6; ++use) {
+      const Bytes random = rng.bytes(32);
+      X25519Key shared{};
+      const X25519KeyPair kp = x25519_keypair_shared(random, peers[p], shared);
+      ASSERT_EQ(hex_encode(kp.public_key),
+                hex_encode(detail::x25519_ladder(random, base)))
+          << "peer " << p << " use " << use;
+      ASSERT_EQ(hex_encode(shared),
+                hex_encode(detail::x25519_ladder(random, peers[p])))
+          << "peer " << p << " use " << use;
+    }
+    ASSERT_EQ(counter_value(kCombBuild) - builds, 1u) << "peer " << p;
+  }
+  detail::x25519_cache_reset();
+}
+
+TEST(X25519CombCache, VariableBasePathNeverBuilds) {
+  // x25519() serves one-shot points (client ephemerals, SUCI ephemeral
+  // keys): however often a point repeats there, no table is built and
+  // the cache is not touched.
+  detail::x25519_cache_reset();
+  ForcedBackend backend(CryptoBackend::kAccelerated);
+  const Bytes point = curve_points(1, 0x25519'22)[0];
+  Rng rng(0x25519'23);
+  const std::uint64_t builds = counter_value(kCombBuild);
+  for (int i = 0; i < 20; ++i) {
+    const Bytes scalar = rng.bytes(32);
+    ASSERT_EQ(hex_encode(x25519(scalar, point)),
+              hex_encode(detail::x25519_ladder(scalar, point)));
+  }
+  EXPECT_EQ(counter_value(kCombBuild), builds);
+  EXPECT_EQ(detail::x25519_cache_size(), 0u);
+}
+
+TEST(X25519CombCache, SeventeenthPointEvictsLeastRecentlyUsed) {
+  detail::x25519_cache_reset();
+  ForcedBackend backend(CryptoBackend::kAccelerated);
+  const std::vector<Bytes> points = curve_points(17, 0x25519'24);
+  const auto six_uses = [](const Bytes& u) {
+    for (int use = 0; use < 5; ++use) {
+      EXPECT_EQ(detail::x25519_fixed_table(u), nullptr) << "use " << use;
+    }
+    return detail::x25519_fixed_table(u) != nullptr;
+  };
+  for (std::size_t i = 0; i < 16; ++i) {
+    ASSERT_TRUE(six_uses(points[i])) << "point " << i;
+  }
+  EXPECT_EQ(detail::x25519_cache_size(), 16u);
+  // Touch point 0, so point 1 is now the least recently used.
+  ASSERT_NE(detail::x25519_fixed_table(points[0]), nullptr);
+  ASSERT_TRUE(six_uses(points[16]));
+  EXPECT_EQ(detail::x25519_cache_size(), 16u);
+  EXPECT_NE(detail::x25519_fixed_table(points[0]), nullptr);
+  // Point 1 was evicted: it starts again from its first use.
+  EXPECT_EQ(detail::x25519_fixed_table(points[1]), nullptr);
+  EXPECT_EQ(detail::x25519_cache_size(), 16u);
+  detail::x25519_cache_reset();
+}
+
+TEST(X25519CombCache, UnliftablePointIsRememberedAndKeepsLadder) {
+  detail::x25519_cache_reset();
+  ForcedBackend backend(CryptoBackend::kAccelerated);
+  Rng rng(0x25519'25);
+  Bytes twist = rng.bytes(32);
+  while (detail::x25519_comb_liftable(twist)) twist = rng.bytes(32);
+  const std::uint64_t builds = counter_value(kCombBuild);
+  for (int use = 0; use < 12; ++use) {
+    const Bytes random = rng.bytes(32);
+    X25519Key shared{};
+    (void)x25519_keypair_shared(random, twist, shared);
+    ASSERT_EQ(hex_encode(shared),
+              hex_encode(detail::x25519_ladder(random, twist)))
+        << "use " << use;
+  }
+  // One build attempt on the 6th use; its verdict is kept, so later
+  // uses neither retry nor take a table.
+  EXPECT_EQ(counter_value(kCombBuild) - builds, 1u);
+  EXPECT_EQ(detail::x25519_cache_size(), 1u);
+  EXPECT_EQ(detail::x25519_fixed_table(twist), nullptr);
   detail::x25519_cache_reset();
 }
 

@@ -1,12 +1,10 @@
-// Monte Carlo host-thread driver (src/load/montecarlo.h): determinism
-// independent of thread count, and thread-safety of the shared mutable
-// state the shard runner exposes — the declassify audit counters, the
-// sharded stats registry, and the process-wide X25519 comb-table cache.
+// Monte Carlo over host threads (sim::ShardPool::map): determinism
+// independent of thread count, and thread-safety of the state the shard
+// runner's workers touch — the declassify audit counters, the sharded
+// stats registry, and each worker's own X25519 comb-table cache.
 // This is the workload the TSan CI stage (scripts/ci.sh tsan) runs
 // under -fsanitize=thread; every test here keeps the MonteCarlo prefix
 // so that stage's -R '^MonteCarlo' filter picks it up.
-#include "load/montecarlo.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +25,7 @@
 #include "load/serving.h"
 #include "net/tls.h"
 #include "nf/subscriber_store.h"
+#include "sim/shard_pool.h"
 #include "sim/spsc_mailbox.h"
 
 namespace shield5g {
@@ -47,15 +46,15 @@ std::uint64_t job(std::size_t seed) {
 }
 
 TEST(MonteCarlo, ResultsIndependentOfThreadCount) {
-  const auto serial = load::monte_carlo(96, job, 1);
-  const auto parallel = load::monte_carlo(96, job, 8);
+  const auto serial = sim::ShardPool(1).map(96, job);
+  const auto parallel = sim::ShardPool(8).map(96, job);
   ASSERT_EQ(serial.size(), parallel.size());
   EXPECT_EQ(serial, parallel);
 }
 
 TEST(MonteCarlo, DeclassifyCountersAccumulateAcrossThreads) {
   counters_reset();
-  (void)load::monte_carlo(200, job, 8);
+  (void)sim::ShardPool(8).map(200, job);
   // Every job declassifies exactly once; the counter map is shared
   // mutable state across all host threads (the TSan target).
   EXPECT_EQ(counter_value("secret.declassify.transport.host"), 200u);
@@ -63,8 +62,8 @@ TEST(MonteCarlo, DeclassifyCountersAccumulateAcrossThreads) {
 }
 
 TEST(MonteCarlo, ZeroJobsAndImplicitThreadCount) {
-  EXPECT_TRUE(load::monte_carlo(0, job).empty());
-  EXPECT_EQ(load::monte_carlo(3, job).size(), 3u);
+  EXPECT_TRUE(sim::ShardPool().map(0, job).empty());
+  EXPECT_EQ(sim::ShardPool().map(3, job).size(), 3u);
 }
 
 class ForcedBackend {
@@ -75,16 +74,15 @@ class ForcedBackend {
   ~ForcedBackend() { crypto::clear_forced_backend(); }
 };
 
-// A fixed set of curve points every thread keeps revisiting: the base
-// point plus a handful of public keys (always valid u-coordinates).
-// Revisits push the per-thread sighting counters past the publish
-// threshold on many threads at once, so the once-per-point table
-// builds and the lock-free hit path race against each other — the
-// exact pattern shard workers produce on a shared deployment key.
+// A fixed set of curve points every thread keeps revisiting through
+// the fixed-point entry points: the base point (x25519_public) plus a
+// handful of static peers (x25519_keypair_shared; public keys, so
+// always valid u-coordinates). Revisits push each worker's own cache
+// past the build threshold, so every thread builds and reads its own
+// tables while the others do the same — the pattern shard workers
+// produce on a shared deployment key.
 std::vector<Bytes> comb_hammer_points() {
   std::vector<Bytes> points;
-  points.push_back(Bytes(32, 0));
-  points.back()[0] = 9;  // the X25519 base point: the hottest entry
   Rng rng(0xC04BULL);
   for (int i = 0; i < 5; ++i) {
     const SecretBytes scalar(rng.bytes(32));
@@ -96,41 +94,48 @@ std::vector<Bytes> comb_hammer_points() {
 
 std::uint64_t comb_job(const std::vector<Bytes>& points, std::size_t seed) {
   Rng rng(static_cast<std::uint64_t>(seed) * 0x9e3779b97f4a7c15ULL + 1);
-  const SecretBytes scalar(rng.bytes(32));
   std::uint64_t acc = 0;
+  const auto fold = [&acc](const crypto::X25519Key& key) {
+    // lint-audited(ct-flow: digest accumulation reads every output byte unconditionally)
+    for (std::uint8_t byte : key) acc = acc * 131 + byte;
+  };
   // Six passes per point: past the build threshold within one job.
   for (int pass = 0; pass < 6; ++pass) {
+    const SecretBytes scalar(rng.bytes(32));
+    fold(crypto::x25519_public(scalar));
     for (const Bytes& u : points) {
-      const crypto::X25519Key key = crypto::x25519(scalar, u);
-      // lint-audited(ct-flow: digest accumulation reads every output byte unconditionally)
-      for (std::uint8_t byte : key) acc = acc * 131 + byte;
+      crypto::X25519Key shared{};
+      fold(crypto::x25519_keypair_shared(rng.bytes(32), u, shared).public_key);
+      fold(shared);
     }
   }
   return acc;
 }
 
-TEST(MonteCarlo, SharedCombCacheIsRaceFreeAndThreadCountInvariant) {
-  // Pin the comb path on before any worker spawns (dispatch contract),
-  // and reset the shared cache only while single-threaded.
-  ForcedBackend pin(crypto::CryptoBackend::kAccelerated);
+TEST(MonteCarlo, CombCacheIsRaceFreeAndThreadCountInvariant) {
   const std::vector<Bytes> points = comb_hammer_points();
-
+  const auto hammer = [&points](unsigned threads) {
+    return sim::ShardPool(threads).map(
+        32, [&points](std::size_t i) { return comb_job(points, i); });
+  };
+  // Reference: the ladder everywhere. Backends are pinned before any
+  // worker spawns (dispatch contract).
+  std::vector<std::uint64_t> ladder;
+  {
+    ForcedBackend pin(crypto::CryptoBackend::kScalar);
+    ladder = hammer(1);
+  }
+  ForcedBackend pin(crypto::CryptoBackend::kAccelerated);
   crypto::detail::x25519_cache_reset();
-  const auto serial = load::monte_carlo(
-      32, [&points](std::size_t i) { return comb_job(points, i); }, 1);
-  const std::size_t serial_cache = crypto::detail::x25519_cache_size();
+  const std::uint64_t builds = counter_value("x25519.comb.build");
+  const auto serial = hammer(1);
+  // One worker runs inline: one table per static peer.
+  EXPECT_EQ(counter_value("x25519.comb.build") - builds, points.size());
+  const auto parallel = hammer(8);
 
-  crypto::detail::x25519_cache_reset();
-  const auto parallel = load::monte_carlo(
-      32, [&points](std::size_t i) { return comb_job(points, i); }, 8);
-  const std::size_t parallel_cache = crypto::detail::x25519_cache_size();
-
-  // Same keys regardless of which thread built or reused each table.
+  // Same keys whichever thread built or reused each table.
+  EXPECT_EQ(serial, ladder);
   EXPECT_EQ(serial, parallel);
-  // Every hammered point ends up published exactly once — concurrent
-  // builders must dedupe, and hits must not re-publish.
-  EXPECT_EQ(serial_cache, points.size());
-  EXPECT_EQ(parallel_cache, points.size());
   crypto::detail::x25519_cache_reset();
 }
 
@@ -173,13 +178,13 @@ std::uint64_t pool_job(std::size_t seed) {
 TEST(MonteCarlo, BufferPoolHammerIsRaceFreeAndThreadCountInvariant) {
   BufferPool::publish_thread_stats();  // flush stale main-thread deltas
   counters_reset();
-  const auto serial = load::monte_carlo(96, pool_job, 1);
+  const auto serial = sim::ShardPool(1).map(96, pool_job);
   const std::uint64_t serial_acquires =
       counter_value("wire.pool.hit") + counter_value("wire.pool.miss");
   const std::uint64_t serial_bytes = counter_value("wire.pool.bytes");
 
   counters_reset();
-  const auto parallel = load::monte_carlo(96, pool_job, 8);
+  const auto parallel = sim::ShardPool(8).map(96, pool_job);
   const std::uint64_t parallel_acquires =
       counter_value("wire.pool.hit") + counter_value("wire.pool.miss");
 
@@ -198,32 +203,35 @@ TEST(MonteCarlo, BufferPoolHammerIsRaceFreeAndThreadCountInvariant) {
 }
 
 TEST(MonteCarlo, EphemeralPoolHammerIsRaceFreeAndThreadCountInvariant) {
-  // One shared pool, many threads draining it concurrently: acquire()
-  // must never hand the same keypair to two callers (each scalar is
-  // generated once), refills must be race-free, and the generated()
-  // total must be a workload property, not a schedule property.
+  // One shared pool, many threads draining it concurrently through
+  // acquire_shared(), the path TLS clients and UEs use: it must never
+  // hand the same keypair to two callers (each scalar is generated
+  // once), refills must be race-free, and the generated() total must be
+  // a workload property, not a schedule property.
   crypto::EphemeralKeyPool::Config cfg;
   cfg.capacity = 32;
   cfg.seed = 0xE9AULL;
+  const crypto::X25519Key peer =
+      crypto::x25519_public(SecretView(Bytes(32, 0x24)));
 
-  const auto hammer = [](crypto::EphemeralKeyPool& pool, unsigned threads) {
+  const auto hammer = [&peer](crypto::EphemeralKeyPool& pool,
+                              unsigned threads) {
     // Commutative fold (sum of per-key folds): hand-out order differs
     // per schedule, the multiset of keys must not.
-    const auto acquired = load::monte_carlo(
-        96,
-        [&pool](std::size_t) {
+    const auto acquired = sim::ShardPool(threads).map(96,
+        [&pool, &peer](std::size_t) {
           std::uint64_t acc = 0;
           for (int i = 0; i < 5; ++i) {
-            const crypto::X25519KeyPair kp = pool.acquire();
+            const crypto::X25519SharedKeyPair prep =
+                pool.acquire_shared(ByteView(peer));
             std::uint64_t h = 0xcbf29ce484222325ULL;
-            for (std::uint8_t b : kp.public_key) {
+            for (std::uint8_t b : prep.kp.public_key) {
               h = (h ^ b) * 0x100000001b3ULL;
             }
             acc += h;
           }
           return acc;
-        },
-        threads);
+        });
     std::uint64_t sum = 0;
     for (const std::uint64_t a : acquired) sum += a;
     return sum;
@@ -241,12 +249,14 @@ TEST(MonteCarlo, EphemeralPoolHammerIsRaceFreeAndThreadCountInvariant) {
   EXPECT_EQ(serial, parallel) << "pool handed out schedule-dependent keys";
   EXPECT_EQ(serial_hits, 96u * 5u);
   EXPECT_EQ(counter_value("x25519.pool.hit"), 96u * 5u);
-  // ceil(480 / 32) refills of 32 keys each, schedule-independent. The
-  // refill_keys counter tallies key pairs (not refill batches), so it
-  // equals generated() and is always >= the hit count.
+  // The 480 hits drew 1 + 120 * 4 = 481 prepared pairs from the ring
+  // (a cold peer prepares 1, then 4 at a time): ceil(481 / 32) refills
+  // of 32 keys each, schedule-independent. The refill_keys counter
+  // tallies key pairs (not refill batches), so it equals generated()
+  // and is always >= the hit count.
   EXPECT_EQ(serial_pool.generated(), parallel_pool.generated());
-  EXPECT_EQ(parallel_pool.generated(), 480u);
-  EXPECT_EQ(counter_value("x25519.pool.refill_keys"), 480u);
+  EXPECT_EQ(parallel_pool.generated(), 512u);
+  EXPECT_EQ(counter_value("x25519.pool.refill_keys"), 512u);
   counters_reset();
 }
 
@@ -264,8 +274,7 @@ TEST(MonteCarlo, EphemeralPoolSharedHammerIsRaceFreeAndSecretsCheckOut) {
 
   const auto hammer = [&peer](crypto::EphemeralKeyPool& pool,
                               unsigned threads) {
-    const auto acquired = load::monte_carlo(
-        64,
+    const auto acquired = sim::ShardPool(threads).map(64,
         [&pool, &peer](std::size_t) {
           std::uint64_t acc = 0;
           for (int i = 0; i < 4; ++i) {
@@ -280,8 +289,7 @@ TEST(MonteCarlo, EphemeralPoolSharedHammerIsRaceFreeAndSecretsCheckOut) {
             acc += h;
           }
           return acc;
-        },
-        threads);
+        });
     std::uint64_t sum = 0;
     for (const std::uint64_t a : acquired) sum += a;
     return sum;
@@ -315,8 +323,7 @@ TEST(MonteCarlo, TicketIssuerHammerIsRaceFreeAndSingleUseHolds) {
   // this against the same mutex the Bus uses per attachment.
   net::TicketIssuer issuer{SecretView(Bytes(32, 0x66)),
                            net::TicketIssuer::kDefaultLifetimeNs};
-  const auto verdicts = load::monte_carlo(
-      128,
+  const auto verdicts = sim::ShardPool(8).map(128,
       [&issuer](std::size_t i) -> std::uint64_t {
         Rng rng(static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL + 11);
         const Secret<32> secret{ByteView(rng.bytes(32))};
@@ -327,8 +334,7 @@ TEST(MonteCarlo, TicketIssuerHammerIsRaceFreeAndSingleUseHolds) {
         const bool key_match = first.has_value() && *first == secret;
         // lint-audited(ct-flow: test verdict bitmask over recovered keys; timing is not under test here)
         return (key_match ? 1u : 0u) | (replay.has_value() ? 2u : 0u);
-      },
-      8);
+      });
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     EXPECT_EQ(verdicts[i], 1u) << "job " << i
                                << ": redeem-once/reject-replay violated";
@@ -339,14 +345,12 @@ TEST(MonteCarlo, ShardedCounterRegistryAccumulatesAcrossThreads) {
   counters_reset();
   // 24 distinct names spread across the registry's internal shards,
   // bumped from 8 threads, plus one name every thread fights over.
-  (void)load::monte_carlo(
-      96,
+  (void)sim::ShardPool(8).map(96,
       [](std::size_t i) {
         counter_add("mc.shard." + std::to_string(i % 24));
         counter_add("mc.contended", 3);
         return i;
-      },
-      8);
+      });
   for (int n = 0; n < 24; ++n) {
     EXPECT_EQ(counter_value("mc.shard." + std::to_string(n)), 4u)
         << "name " << n;
@@ -368,8 +372,7 @@ TEST(MonteCarlo, SpscMailboxHammerIsLosslessAndOrdered) {
   // Every stream must arrive complete and in order — any missed
   // synchronisation edge in the ring shows up here as a torn value,
   // a duplicate, or a TSan report.
-  const auto sums = load::monte_carlo(
-      16,
+  const auto sums = sim::ShardPool(8).map(16,
       [](std::size_t seed) {
         sim::SpscMailbox<std::uint32_t> mb(4);
         const std::uint32_t count = 2000 + static_cast<std::uint32_t>(seed);
@@ -393,8 +396,7 @@ TEST(MonteCarlo, SpscMailboxHammerIsLosslessAndOrdered) {
         consumer.join();
         if (!ordered || expect_next != count) return std::uint64_t(0);
         return sum;
-      },
-      8);
+      });
   for (std::size_t seed = 0; seed < sums.size(); ++seed) {
     const std::uint64_t count = 2000 + seed;
     EXPECT_EQ(sums[seed], count * (count - 1) / 2) << "stream " << seed;
@@ -419,8 +421,7 @@ TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
     rec.sqn = 0x100 + 0x40ULL * i;
     store.provision(rec);
   }
-  const auto digests = load::monte_carlo(
-      32,
+  const auto digests = sim::ShardPool(8).map(32,
       [&store](std::size_t seed) {
         std::uint64_t acc = 0xcbf29ce484222325ULL;
         for (std::uint32_t n = 0; n < kRows; ++n) {
@@ -432,10 +433,8 @@ TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
           acc = (acc ^ store.sqn(row)) * 0x100000001b3ULL;
         }
         return acc;
-      },
-      8);
-  const auto serial = load::monte_carlo(
-      32,
+      });
+  const auto serial = sim::ShardPool(1).map(32,
       [&store](std::size_t seed) {
         std::uint64_t acc = 0xcbf29ce484222325ULL;
         for (std::uint32_t n = 0; n < kRows; ++n) {
@@ -447,8 +446,7 @@ TEST(MonteCarlo, ColumnarStoreConcurrentReadersAgree) {
           acc = (acc ^ store.sqn(row)) * 0x100000001b3ULL;
         }
         return acc;
-      },
-      1);
+      });
   EXPECT_EQ(digests, serial);
 }
 

@@ -5,7 +5,7 @@
 // named mutex — via lock_guard/unique_lock/scoped_lock/shared_lock, an
 // explicit .lock(), or a SHIELD_REQUIRES contract on the enclosing
 // function. Atomic members relax to writes-only (lock-free readers are
-// the point of the x25519 publish slots); constructors/destructors are
+// the point of TicketIssuer's epoch); constructors/destructors are
 // exempt (no concurrent access before/after the object's lifetime).
 //
 // Soundness limits (DESIGN.md §15): scoping is lexical — a lock
