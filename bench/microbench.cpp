@@ -13,7 +13,6 @@
 #include "crypto/milenage.h"
 #include "crypto/sha256.h"
 #include "crypto/suci.h"
-#include "crypto/cpu_dispatch.h"
 #include "crypto/x25519.h"
 #include "crypto/x25519_batch.h"
 #include "json/json.h"
@@ -94,28 +93,11 @@ void BM_X25519(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519);
 
-// Batched ladder throughput: scalar engine vs the 4-lane AVX2 kernel at
-// batch widths 1 / 4 / 8. Every iteration stamps fresh points (a
-// counter over random bytes) so no point is ever used twice and the
-// comb cache never builds a table — this isolates the ladder, which is
-// what the batch engine accelerates. Reported items/s are mults/s.
+// Batched ladder throughput at batch widths 1 / 4 / 8. Every iteration
+// stamps fresh points (a counter over random bytes) so no point is ever
+// used twice and the comb cache never builds a table — this isolates
+// the per-item ladder loop. Reported items/s are mults/s.
 void BM_X25519BatchLadder(benchmark::State& state) {
-  const auto engine = state.range(1) == 0 ? crypto::X25519BatchEngine::kScalar
-                      : state.range(1) == 1
-                          ? crypto::X25519BatchEngine::kX4
-                          : crypto::X25519BatchEngine::kIfma;
-  if (engine == crypto::X25519BatchEngine::kX4 &&
-      (!crypto::detail::x25519_x4_compiled() || !crypto::cpu_has_avx2())) {
-    state.SkipWithError("AVX2 4-lane kernels unavailable on this host");
-    return;
-  }
-  if (engine == crypto::X25519BatchEngine::kIfma &&
-      (!crypto::detail::x25519_ifma_compiled() ||
-       !crypto::cpu_has_avx512ifma())) {
-    state.SkipWithError("AVX-512 IFMA kernels unavailable on this host");
-    return;
-  }
-  crypto::detail::force_batch_engine(engine);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   std::vector<std::array<std::uint8_t, 32>> scalars(n), points(n);
@@ -140,19 +122,8 @@ void BM_X25519BatchLadder(benchmark::State& state) {
     benchmark::DoNotOptimize(outs.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
-  crypto::detail::clear_forced_batch_engine();
 }
-BENCHMARK(BM_X25519BatchLadder)
-    ->ArgNames({"batch", "engine"})  // engine: 0 scalar, 1 x4, 2 ifma
-    ->Args({1, 0})
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({1, 2})
-    ->Args({4, 2})
-    ->Args({8, 2});
+BENCHMARK(BM_X25519BatchLadder)->ArgName("batch")->Arg(1)->Arg(4)->Arg(8);
 
 void BM_SuciConceal(benchmark::State& state) {
   Rng rng(6);

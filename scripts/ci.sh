@@ -31,14 +31,13 @@
 #                             # the BENCH_throughput.json schema, pin the
 #                             # wire-pool / TLS-resumption hit rates and
 #                             # the scalar-mult budget, lint src/ + bench/,
-#                             # and pin the declassify audit surface
+#                             # and pin the declassify audit surface and
+#                             # the SHIELD5G_* env-knob count
 #   scripts/ci.sh crypto-parity # kernel_parity under both crypto
-#                             # backends (scalar and accel), plus a
-#                             # non-vector fallback smoke: the scaling
-#                             # bench digests must be byte-identical
-#                             # with the batch engine forced to scalar
-#                             # and capped at the AVX2 kernel vs the
-#                             # default dispatch
+#                             # backends (scalar and accel), plus the
+#                             # scaling bench digests, which must be
+#                             # byte-identical with the backend forced
+#                             # to scalar vs the default
 #   scripts/ci.sh scale-smoke # shard-runner determinism: run the scaling
 #                             # bench at 1 and 2 workers and diff the
 #                             # per-case digests byte-for-byte against
@@ -51,7 +50,9 @@
 #                             # subscribers into the columnar UDR store
 #                             # under the pinned peak-RSS ceiling, then
 #                             # serve at 1 and 2 shards and require the
-#                             # merged digests byte-identical
+#                             # merged digests byte-identical; then the
+#                             # full 512-UE run at 1 shard must give the
+#                             # digest checked in as BENCH_serving.json
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -233,6 +234,15 @@ EOF
       echo "bench-smoke: declassify call sites changed (found $sites, want 3)" >&2
       exit 1
     fi
+    # Config knobs are tracked like the audit surface: exactly three
+    # SHIELD5G_* environment reads (crypto backend, bus fast path,
+    # shard workers).
+    knobs="$(grep -rn 'getenv("SHIELD5G_' "$repo/src" --include='*.cpp' \
+             --include='*.h' | grep -vE ':[0-9]+:[[:space:]]*(//|\*)' | wc -l)"
+    if [ "$knobs" -ne 3 ]; then
+      echo "bench-smoke: SHIELD5G_* env knobs changed (found $knobs, want 3)" >&2
+      exit 1
+    fi
     echo "bench-smoke: OK"
     ;;
   crypto-parity)
@@ -243,14 +253,13 @@ EOF
     # Bit-identity across dispatch: the full parity suite (1k+ random
     # scalars/points incl. twist and u=0, RFC 7748 vectors, op-count
     # neutrality) must pass with the crypto backend pinned either way.
-    # On hosts without AVX2/IFMA the vector cases skip; the scalar
-    # reference still runs, so this stage never silently no-ops.
+    # On hosts without AES-NI/SHA-NI the accelerated kernels fall back
+    # to scalar; the fixed-point X25519 path is portable and always
+    # runs, so this stage never silently no-ops.
     SHIELD5G_CRYPTO_BACKEND=scalar "$build/tests/kernel_parity_test"
     SHIELD5G_CRYPTO_BACKEND=accel "$build/tests/kernel_parity_test"
-    # Non-vector fallback smoke: a plain host dispatches the batch to
-    # the scalar ladder, an AVX2-only host to the x4 kernel. Force both
-    # paths and require the end-to-end scaling digests byte-identical
-    # to the default dispatch (IFMA where the host has it).
+    # End to end: the scaling digests must be byte-identical with the
+    # whole crypto stack forced to the scalar reference path.
     rm -f "$build"/parity_digests_*.txt
     run_scaling() {  # $1 = tag (also digest prefix suffix)
       "$build/bench/shard_scaling" --smoke --workers 1 \
@@ -258,13 +267,9 @@ EOF
           "$build/BENCH_scaling_parity_$1.json"
     }
     run_scaling default
-    SHIELD5G_X25519_BATCH=scalar SHIELD5G_CRYPTO_BACKEND=scalar \
-      run_scaling scalar
-    SHIELD5G_X25519_BATCH=x4 run_scaling x4
+    SHIELD5G_CRYPTO_BACKEND=scalar run_scaling scalar
     cmp "$build/parity_digests_default_seq.txt" \
         "$build/parity_digests_scalar_seq.txt"
-    cmp "$build/parity_digests_default_seq.txt" \
-        "$build/parity_digests_x4_seq.txt"
     echo "crypto-parity: OK"
     ;;
   scale-smoke)
@@ -336,6 +341,22 @@ print(f"serve-smoke: 1M provision {prov['rss_after_kb'] // 1024} MB peak "
       f"(ceiling {prov['rss_ceiling_kb'] // 1024} MB), "
       f"digest {digests.pop()} identical at "
       f"{sorted(r['shards'] for r in doc['runs'])} shards")
+EOF
+    # The checked-in BENCH_serving.json must match the tree: the full
+    # 512-UE run at one shard has to reproduce its digest.
+    full="$build/BENCH_serving_full.json"
+    "$build/bench/serving_plane" --shards 1 "$full"
+    python3 - "$full" "$repo/BENCH_serving.json" <<'EOF'
+import json, sys
+run = json.load(open(sys.argv[1]))
+checked_in = json.load(open(sys.argv[2]))
+got = {r["digest"] for r in run["runs"]}
+want = {r["digest"] for r in checked_in["runs"]}
+if run["ue_count"] != checked_in["ue_count"] or got != want:
+    sys.exit(f"serve-smoke: BENCH_serving.json is stale: the tree gives "
+             f"{sorted(got)} at {run['ue_count']} UEs, the file holds "
+             f"{sorted(want)} at {checked_in['ue_count']} UEs")
+print(f"serve-smoke: full run digest {got.pop()} matches BENCH_serving.json")
 EOF
     echo "serve-smoke: OK"
     ;;

@@ -34,8 +34,7 @@ void EphemeralKeyPool::refill_locked() {
   //
   // Private scalars are drawn first, in the same RNG order the old
   // one-at-a-time loop used, so the key stream is bit-identical; the
-  // public keys then compute as one x25519_batch() group, 4 lanes at a
-  // time through the AVX2 ladder when available.
+  // public keys then compute as one x25519_batch() call.
   const OpCounts before = op_counts();
   ring_.clear();
   for (std::size_t i = 0; i < config_.capacity; ++i) {
@@ -43,12 +42,14 @@ void EphemeralKeyPool::refill_locked() {
     pair.private_key = Secret<kX25519KeySize>(rng_.bytes(32));
     ring_.push_back(std::move(pair));
   }
-  MultBatcher batcher;
-  for (std::size_t i = 0; i < config_.capacity; ++i) {
-    batcher.enqueue(ring_[i].private_key, ByteView(kBasePoint, 32),
-                    &ring_[i].public_key);
+  std::vector<X25519BatchItem> items;
+  items.reserve(config_.capacity);
+  for (X25519KeyPair& pair : ring_) {
+    items.push_back(X25519BatchItem{pair.private_key,
+                                    ByteView(kBasePoint, 32),
+                                    &pair.public_key});
   }
-  batcher.flush();
+  x25519_batch(items.data(), items.size());
   op_counts() = before;
   generated_ += config_.capacity;
   counter_add("x25519.pool.refill_keys", config_.capacity);
@@ -105,13 +106,14 @@ void EphemeralKeyPool::fill_shared_locked(PeerSlot& slot, std::size_t count) {
     prep.kp = take_pair_locked();
     slot.ready.push_back(std::move(prep));
   }
-  MultBatcher batcher;
+  std::vector<X25519BatchItem> items;
+  items.reserve(count);
   for (std::size_t i = base; i < slot.ready.size(); ++i) {
-    batcher.enqueue(slot.ready[i].kp.private_key,
-                    ByteView(slot.peer.data(), slot.peer.size()),
-                    &slot.ready[i].shared);
+    items.push_back(X25519BatchItem{
+        slot.ready[i].kp.private_key,
+        ByteView(slot.peer.data(), slot.peer.size()), &slot.ready[i].shared});
   }
-  batcher.flush();
+  x25519_batch(items.data(), items.size());
   op_counts() = before;
   counter_add("x25519.pool.shared_keys", count);
 }
@@ -126,7 +128,7 @@ X25519SharedKeyPair EphemeralKeyPool::acquire_shared(ByteView peer_public) {
   ++slot.acquires;
   if (slot.ready.empty()) {
     // First contact prepares a single pair (no waste if the peer never
-    // returns); repeat traffic fills a full 4-lane group.
+    // returns); repeat traffic fills kSharedBatch at a time.
     fill_shared_locked(slot, slot.acquires > 1 ? kSharedBatch : 1);
   }
   X25519SharedKeyPair out = std::move(slot.ready.front());

@@ -8,14 +8,15 @@
 // deterministic RNG stream, one x25519_batch() on the base point per
 // refill.
 //
-// PR 7 extends the pool with per-peer *shared-secret* precompute:
-// consumers that talk to a stable peer key (the home-network SUCI key,
-// a server's TLS identity) can acquire_shared() a key pair bundled
-// with its X25519 shared secret. The pool prepares those in groups so
-// the variable-base multiplications flow through x25519_batch() and
-// hit the 4-lane AVX2 ladder; prewarm_shared() lets a scheduler that
-// knows a burst is coming (the load generator's per-tick conceal
-// coalescing) size the group exactly.
+// The pool also precomputes per-peer *shared secrets*: consumers that
+// talk to a stable peer key (the home-network SUCI key, a server's TLS
+// identity) can acquire_shared() a key pair bundled with its X25519
+// shared secret. The pool prepares those in groups, one x25519_batch()
+// per group; prewarm_shared() lets a scheduler that knows a burst is
+// coming (the load generator's per-tick conceal coalescing) size the
+// group exactly.
+// The group shapes also fix the order in which ring keys are drawn, so
+// they are part of the key stream.
 //
 // Determinism contract: one pool per Slice, seeded from the slice seed,
 // consumed in the slice's deterministic event order — so sweep digests
@@ -46,8 +47,9 @@ class EphemeralKeyPool {
     std::uint64_t seed = 0;
   };
 
-  /// Lane width the shared-precompute path fills by default once a peer
-  /// shows repeat traffic — matches the x25519_batch 4-lane kernel.
+  /// Pairs the shared-precompute path prepares at a time once a peer
+  /// shows repeat traffic. Changing it changes which ring key each
+  /// consumer draws, and with it every digest.
   static constexpr std::size_t kSharedBatch = 4;
 
   /// Distinct peer keys with prepared shared secrets; least recently
@@ -65,16 +67,15 @@ class EphemeralKeyPool {
   /// key pair and running a serial x25519() against the peer — so
   /// virtual-time accounting is unchanged; the mult itself ran
   /// off-meter in a prepared group. A cold peer prepares a single pair;
-  /// peers with repeat traffic prepare kSharedBatch at a time so the
-  /// mults batch 4-wide. Thread-safe: shard hammers may acquire
-  /// concurrently, though in normal operation a pool belongs to one
-  /// slice.
+  /// peers with repeat traffic prepare kSharedBatch at a time.
+  /// Thread-safe: shard hammers may acquire concurrently, though in
+  /// normal operation a pool belongs to one slice.
   X25519SharedKeyPair acquire_shared(ByteView peer_public);
 
   /// Ensures at least `count` prepared pairs are ready for
   /// `peer_public`, batching the variable-base mults off-meter. Call
   /// before a known burst (e.g. N conceals scheduled for the same
-  /// tick) so the group runs through the 4-lane kernel at full width.
+  /// tick) so the whole burst is prepared as one group.
   void prewarm_shared(ByteView peer_public, std::size_t count);
 
   /// Key pairs currently ready (diagnostics / tests).

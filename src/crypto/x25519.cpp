@@ -12,6 +12,7 @@
 #include "crypto/cpu_dispatch.h"
 #include "crypto/fe25519.h"
 #include "crypto/op_count.h"
+#include "crypto/x25519_batch.h"
 #include "crypto/x25519_comb.h"
 #include "crypto/x25519_internal.h"
 
@@ -136,6 +137,17 @@ void fixed_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
   }
 }
 
+// One whole fixed-point mult: clamp, fraction, inversion. Charges no
+// op counts; the callers do.
+void fixed_mult(SecretView scalar, ByteView u, X25519Key& out) {
+  std::uint8_t k[32];
+  clamp(k, scalar);
+  Fe num, den;
+  fixed_fraction(k, u, num, den);
+  secure_zero(k, sizeof(k));
+  fe_store(out.data(), fe_mul(num, fe_invert(den)));
+}
+
 }  // namespace
 
 X25519Key x25519(SecretView scalar, ByteView u) {
@@ -189,13 +201,8 @@ X25519Key x25519_public(SecretView scalar) {
   }
   ScopedStage timer(HotStage::kCrypto);
   ++op_counts().x25519_ops;
-  std::uint8_t k[32];
-  clamp(k, scalar);
-  Fe num, den;
-  fixed_fraction(k, ByteView(kBasePoint), num, den);
-  secure_zero(k, sizeof(k));
   X25519Key result{};
-  fe_store(result.data(), fe_mul(num, fe_invert(den)));
+  fixed_mult(scalar, ByteView(kBasePoint), result);
   return result;
 }
 
@@ -209,19 +216,23 @@ X25519KeyPair x25519_keypair(ByteView random32) {
   return kp;
 }
 
-namespace detail {
-
-void x25519_clamp(std::uint8_t k[32], SecretView scalar) {
-  if (scalar.size() != 32) {
-    throw std::invalid_argument("x25519_clamp: scalar must be 32 bytes");
+void x25519_batch(X25519BatchItem* items, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (items[i].scalar.size() != 32 || items[i].point.size() != 32 ||
+        items[i].out == nullptr) {
+      throw std::invalid_argument(
+          "x25519_batch: items need 32-byte scalar/point and an output");
+    }
   }
-  clamp(k, scalar);
+  if (n == 0) return;
+  ScopedStage timer(HotStage::kCrypto);
+  op_counts().x25519_ops += n;  // exactly what n serial calls charge
+  for (std::size_t i = 0; i < n; ++i) {
+    fixed_mult(items[i].scalar, items[i].point, *items[i].out);
+  }
 }
 
-void x25519_ladder_fraction(const std::uint8_t k[32], ByteView u,
-                            fe25519::Fe& num, fe25519::Fe& den) {
-  ladder_fraction(k, u, num, den);
-}
+namespace detail {
 
 const CombTable* x25519_fixed_table(ByteView u) { return fixed_table(u); }
 

@@ -15,14 +15,6 @@ namespace shield5g::crypto::detail {
 /// Montgomery ladder, unconditionally. Does not charge op counts.
 X25519Key x25519_ladder(SecretView scalar, ByteView u);
 
-/// RFC 7748 clamp of a 32-byte secret scalar into `k`.
-void x25519_clamp(std::uint8_t k[32], SecretView scalar);
-
-/// Ladder up to (not including) the final inversion: u = num/den.
-/// `k` must already be clamped. Does not charge op counts.
-void x25519_ladder_fraction(const std::uint8_t k[32], ByteView u,
-                            fe25519::Fe& num, fe25519::Fe& den);
-
 /// The comb table for fixed point `u`, or nullptr to take the ladder
 /// (always under the scalar backend). The base point has a table from
 /// the first call. For any other point each call counts one use in

@@ -164,9 +164,10 @@ class Engine {
   /// Schedules every planned session; when several arrivals land on the
   /// same scheduler tick, a prewarm event is inserted before the first
   /// of them (FIFO tie-break on equal timestamps) so the burst's SUCI
-  /// conceals consume shared secrets the pool batched 4-wide through
-  /// x25519_batch instead of each paying a serial mult. The prewarm is
-  /// off the op meter, so virtual-time results are unchanged.
+  /// conceals consume shared secrets the pool prepared as one
+  /// x25519_batch group. The prewarm is off the op meter, so
+  /// virtual-time results are unchanged; the group shape does fix the
+  /// order of the pool's key stream.
   void schedule_plan(
       const std::vector<std::pair<std::uint32_t, sim::Nanos>>& plan) {
     sessions_.reserve(sessions_.size() + plan.size());

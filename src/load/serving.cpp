@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/buffer_pool.h"
 #include "common/stats.h"
 #include "common/thread_annotations.h"
 #include "nf/subscriber_store.h"
@@ -41,15 +40,14 @@ std::uint64_t slot_mix(std::uint64_t seed, std::uint32_t slot) noexcept {
 }
 
 /// One slot's actor run: fresh slice over the slot's population, the
-/// routed arrival share replayed through the explicit-arrival engine.
-/// Mirrors sweep.cpp's run_case so the result feeds the same digest.
+/// routed arrival share replayed through the explicit-arrival engine,
+/// measured by the same run_load tail as a sweep case so the result
+/// feeds the same digest.
 SweepResult run_slot(const ServingConfig& config, std::uint32_t slot,
                      std::vector<std::uint32_t> population,
                      const std::vector<Arrival>& arrivals) {
-  SweepResult out;
   char label[32];
   std::snprintf(label, sizeof(label), "slot=%u", slot);
-  out.label = label;
 
   slice::SliceConfig sc = config.slice;
   sc.subscriber_count = static_cast<std::uint32_t>(population.size());
@@ -64,24 +62,7 @@ SweepResult run_slot(const ServingConfig& config, std::uint32_t slot,
   lc.with_pdu = config.with_pdu;
   lc.record_trace = config.record_trace;
   lc.seed = slot_mix(config.seed, slot);
-
-  const auto stage_before = hot_stage::thread_snapshot();
-  const double t0 = now_ms();
-  LoadGenerator generator;
-  out.report = generator.run(slice, lc, arrivals);
-  const double t1 = now_ms();
-  const auto stage_after = hot_stage::thread_snapshot();
-
-  out.run_wall_ms = t1 - t0;
-  for (int i = 0; i < kHotStageCount; ++i) {
-    out.stage_ns[i] = stage_after[i] - stage_before[i];
-  }
-  out.queues = queue_snapshots(slice);
-  for (const QueueSnapshot& q : out.queues) out.shed += q.rejected;
-  // Fold this worker's pool stats into the wire.pool.* counters; global
-  // counters never feed case digests, so this is digest-neutral.
-  BufferPool::publish_thread_stats();
-  return out;
+  return run_load(label, slice, lc, &arrivals);
 }
 
 }  // namespace

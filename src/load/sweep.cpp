@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/buffer_pool.h"
 #include "sim/shard_pool.h"
@@ -20,30 +21,9 @@ double now_ms() {
 }
 
 SweepResult run_case(const SweepCase& c) {
-  SweepResult out;
-  out.label = c.label;
-
   slice::Slice slice(c.slice);
   slice.create();
-
-  const auto stage_before = hot_stage::thread_snapshot();
-  const double t0 = now_ms();
-  LoadGenerator generator;
-  out.report = generator.run(slice, c.load);
-  const double t1 = now_ms();
-  const auto stage_after = hot_stage::thread_snapshot();
-
-  out.run_wall_ms = t1 - t0;
-  for (int i = 0; i < kHotStageCount; ++i) {
-    out.stage_ns[i] = stage_after[i] - stage_before[i];
-  }
-  out.queues = queue_snapshots(slice);
-  for (const QueueSnapshot& q : out.queues) out.shed += q.rejected;
-  out.fastpath_hits = slice.bus().fastpath_hits();
-  // Fold this worker's pool stats into the wire.pool.* counters. Global
-  // counters never feed case_digest, so this is digest-neutral.
-  BufferPool::publish_thread_stats();
-  return out;
+  return run_load(c.label, slice, c.load);
 }
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
@@ -93,6 +73,33 @@ std::uint64_t case_digest(const SweepResult& r) {
 }
 
 }  // namespace
+
+SweepResult run_load(std::string label, slice::Slice& slice,
+                     const LoadConfig& load,
+                     const std::vector<Arrival>* arrivals) {
+  SweepResult out;
+  out.label = std::move(label);
+
+  const auto stage_before = hot_stage::thread_snapshot();
+  const double t0 = now_ms();
+  LoadGenerator generator;
+  out.report = arrivals == nullptr ? generator.run(slice, load)
+                                   : generator.run(slice, load, *arrivals);
+  const double t1 = now_ms();
+  const auto stage_after = hot_stage::thread_snapshot();
+
+  out.run_wall_ms = t1 - t0;
+  for (int i = 0; i < kHotStageCount; ++i) {
+    out.stage_ns[i] = stage_after[i] - stage_before[i];
+  }
+  out.queues = queue_snapshots(slice);
+  for (const QueueSnapshot& q : out.queues) out.shed += q.rejected;
+  out.fastpath_hits = slice.bus().fastpath_hits();
+  // Fold this worker's pool stats into the wire.pool.* counters. Global
+  // counters never feed case_digest, so this is digest-neutral.
+  BufferPool::publish_thread_stats();
+  return out;
+}
 
 std::vector<SweepResult> run_sweep(const std::vector<SweepCase>& cases,
                                    unsigned workers) {

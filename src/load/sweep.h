@@ -50,6 +50,16 @@ struct SweepResult {
   std::array<std::uint64_t, kHotStageCount> stage_ns{};
 };
 
+/// Runs the load engine on a created slice and fills every field of
+/// its result: run wall time, hot-stage deltas, queue snapshots, shed
+/// count and fast-path hits. This is the one post-run tail that
+/// run_sweep's cases and run_serving's slots share. With `arrivals`
+/// null the engine draws its schedule from `load`; otherwise it replays
+/// the given arrivals.
+SweepResult run_load(std::string label, slice::Slice& slice,
+                     const LoadConfig& load,
+                     const std::vector<Arrival>* arrivals = nullptr);
+
 /// Runs every case — one fresh slice each — and returns the results in
 /// case order. `workers` as in sim::shard_workers (0 = env, then
 /// hardware concurrency; 1 = sequential).

@@ -348,6 +348,23 @@ TEST(Determinism, ServingPlaneBackpressureIsDigestNeutral) {
   EXPECT_EQ(a.digest_lines, b.digest_lines);
 }
 
+TEST(Determinism, ServingPlaneReportsFastPathHits) {
+  // Monolithic slots co-locate every NF, so the zero-wire fast path
+  // fires, and the plane must report it: its total is the sum of its
+  // slots' counts, exactly as a sweep case reports its own.
+  load::ServingConfig mono = serving_config();
+  mono.slice.mode = slice::IsolationMode::kMonolithic;
+  const load::ServingReport report = load::run_serving(mono, 2);
+  std::uint64_t per_slot = 0;
+  for (const load::SweepResult& slot : report.slots) {
+    per_slot += slot.fastpath_hits;
+  }
+  EXPECT_GT(report.fastpath_hits, 0u);
+  EXPECT_EQ(report.fastpath_hits, per_slot);
+  // Container slots keep every hop on the wire.
+  EXPECT_EQ(load::run_serving(serving_config(), 2).fastpath_hits, 0u);
+}
+
 TEST(Determinism, ServingPlaneDigestDiscriminates) {
   // Same guard as the sweep digest: seeds must move the bytes, or the
   // serve-smoke byte-compare in CI proves nothing.

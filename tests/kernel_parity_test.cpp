@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/hex.h"
@@ -28,9 +30,8 @@ namespace shield5g::crypto {
 namespace {
 
 // Pins a backend for the scope of one test body.
-// Save/restore, not force/clear: with_backend() nests inside outer
-// ForcedBackend scopes (CombInterplay computes its scalar reference
-// under a forced-accel guard), and a clearing destructor would hand
+// Save/restore, not force/clear: with_backend() may nest inside an
+// outer ForcedBackend scope, and a clearing destructor would hand
 // control back to SHIELD5G_CRYPTO_BACKEND mid-test — the crypto-parity
 // CI stage runs this suite with that env var pinned both ways.
 class ForcedBackend {
@@ -378,165 +379,131 @@ TEST(KernelParity, X25519OpCountsMatchAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------
-// X25519: 4-lane batched ladder vs scalar ladder
+// X25519: x25519_batch vs n serial x25519() calls
 // ---------------------------------------------------------------------
 
-// Pins a batch engine for one test body; on hosts without the AVX2 /
-// IFMA kernels a kX4 or kIfma pin degrades toward scalar and the
-// comparisons become self-consistency, same philosophy as the backend
-// fallbacks above.
-class ForcedBatchEngine {
- public:
-  explicit ForcedBatchEngine(X25519BatchEngine e) {
-    detail::force_batch_engine(e);
+// One batch of n random (scalar, point) items. Tests edit `scalars` and
+// `points` first, then run() binds the items and executes the batch.
+struct BatchRun {
+  std::vector<Bytes> scalars, points;
+  std::vector<X25519Key> outs;
+
+  BatchRun(std::size_t n, Rng& rng) : scalars(n), points(n), outs(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      scalars[i] = rng.bytes(32);
+      points[i] = rng.bytes(32);
+    }
   }
-  ~ForcedBatchEngine() { detail::clear_forced_batch_engine(); }
+
+  void run() {
+    std::vector<X25519BatchItem> items(outs.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      items[i] = X25519BatchItem{scalars[i], points[i], &outs[i]};
+    }
+    x25519_batch(items.data(), items.size());
+  }
+
+  // Item i against the serial, variable-base x25519().
+  std::string serial_hex(std::size_t i) const {
+    return hex_encode(x25519(scalars[i], points[i]));
+  }
 };
 
-constexpr X25519BatchEngine kVectorEngines[] = {X25519BatchEngine::kX4,
-                                                X25519BatchEngine::kIfma};
-
 TEST(KernelParity, X25519BatchMatchesLadderRandom1k) {
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
-  for (const auto vector_engine : kVectorEngines) {
-    ForcedBatchEngine engine(vector_engine);
+  // 1024 items in one batch, under each backend, each checked against
+  // a serial x25519() call: random points (about half on the twist),
+  // the low-order points u = 0 and u = 1, non-canonical u (the top bit
+  // set, and p + 1), and the RFC 7748 section 5.2 vector as item 0.
+  Bytes p_plus_1(32, 0xff);
+  p_plus_1[0] = 0xee;
+  p_plus_1[31] = 0x7f;
+  for (const auto b : {CryptoBackend::kScalar, CryptoBackend::kAccelerated}) {
+    detail::x25519_cache_reset();
+    ForcedBackend backend(b);
     Rng rng(0x25519'10);
-    int zero_outputs = 0;
-    for (int round = 0; round < 256; ++round) {
-      Bytes scalars[4], points[4];
-      X25519Key outs[4];
-      X25519BatchItem items[4];
-      for (int l = 0; l < 4; ++l) {
-        scalars[l] = rng.bytes(32);
-        points[l] = rng.bytes(32);
-        // Sprinkle the edge cases across lanes: u = 0 and u = 1 (low
-        // order, output must collapse to zero like the scalar ladder's),
-        // u with the top bit set (RFC 7748 masking). Random points land
-        // on the twist about half the time, so twist coverage is free.
-        if (round % 16 == l) {
-          std::fill(points[l].begin(), points[l].end(), std::uint8_t{0});
-          if (l == 1) points[l][0] = 1;
-          if (l == 2) points[l][31] = 0x80;
-        }
-        items[l] = X25519BatchItem{scalars[l], points[l], &outs[l]};
-      }
-      x25519_batch(items, 4);
-      for (int l = 0; l < 4; ++l) {
-        const auto oracle = detail::x25519_ladder(scalars[l], points[l]);
-        ASSERT_EQ(hex_encode(outs[l]), hex_encode(oracle))
-            << "engine " << x25519_batch_engine_name(vector_engine)
-            << " round " << round << " lane " << l;
-        if (outs[l] == X25519Key{}) ++zero_outputs;
-      }
+    BatchRun batch(1024, rng);
+    batch.scalars[0] = h2b(
+        "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
+    batch.points[0] = h2b(
+        "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
+    for (std::size_t i = 16; i + 3 < batch.points.size(); i += 16) {
+      batch.points[i] = Bytes(32, 0);
+      batch.points[i + 1] = Bytes(32, 0);
+      batch.points[i + 1][0] = 1;
+      batch.points[i + 2][31] |= 0x80;
+      batch.points[i + 3] = p_plus_1;
     }
-    // The low-order lanes above must actually have exercised the
-    // zero-denominator path through the lane-parallel inversion.
+    batch.run();
+    EXPECT_EQ(hex_encode(batch.outs[0]),
+              "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
+    int zero_outputs = 0, twist = 0;
+    for (std::size_t i = 0; i < batch.outs.size(); ++i) {
+      ASSERT_EQ(hex_encode(batch.outs[i]), batch.serial_hex(i))
+          << backend_name(b) << " item " << i;
+      if (batch.outs[i] == X25519Key{}) ++zero_outputs;
+      // Liftability builds a throwaway table; sample the first items.
+      if (i < 32 && !detail::x25519_comb_liftable(batch.points[i])) ++twist;
+    }
+    // The low-order items collapse to zero, as the serial ladder's do.
     EXPECT_GT(zero_outputs, 0);
+    EXPECT_GT(twist, 0);
   }
   detail::x25519_cache_reset();
 }
 
 TEST(KernelParity, X25519BatchPartialSizesMatchSerial) {
+  // Every small size, including the empty batch.
   detail::x25519_cache_reset();
   ForcedBackend backend(CryptoBackend::kAccelerated);
-  for (const auto vector_engine : kVectorEngines) {
-    ForcedBatchEngine engine(vector_engine);
-    Rng rng(0x25519'11);
-    for (const std::size_t n :
-         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
-          std::size_t{7}, std::size_t{9}}) {
-      std::vector<Bytes> scalars(n), points(n);
-      std::vector<X25519Key> outs(n);
-      std::vector<X25519BatchItem> items(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        scalars[i] = rng.bytes(32);
-        points[i] = rng.bytes(32);
-        items[i] = X25519BatchItem{scalars[i], points[i], &outs[i]};
-      }
-      x25519_batch(items.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hex_encode(outs[i]),
-                  hex_encode(detail::x25519_ladder(scalars[i], points[i])))
-            << "engine " << x25519_batch_engine_name(vector_engine) << " n "
-            << n << " item " << i;
-      }
+  Rng rng(0x25519'11);
+  for (std::size_t n = 0; n <= 9; ++n) {
+    BatchRun batch(n, rng);
+    batch.run();
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hex_encode(batch.outs[i]), batch.serial_hex(i))
+          << "n " << n << " item " << i;
     }
   }
-  detail::x25519_cache_reset();
-}
-
-TEST(KernelParity, X25519BatchEnginesAgreeAndRfcVectorHolds) {
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
-  const Bytes scalar =
-      h2b("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
-  const Bytes u =
-      h2b("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
-  Rng rng(0x25519'12);
-  std::vector<Bytes> scalars{scalar}, points{u};
-  for (int i = 1; i < 4; ++i) {
-    scalars.push_back(rng.bytes(32));
-    points.push_back(rng.bytes(32));
-  }
-  auto run = [&](X25519BatchEngine e) {
-    ForcedBatchEngine guard(e);
-    std::vector<X25519Key> outs(4);
-    std::vector<X25519BatchItem> items(4);
-    for (int i = 0; i < 4; ++i) {
-      items[i] = X25519BatchItem{scalars[i], points[i], &outs[i]};
-    }
-    x25519_batch(items.data(), 4);
-    return outs;
-  };
-  const auto via_scalar = run(X25519BatchEngine::kScalar);
-  const auto via_x4 = run(X25519BatchEngine::kX4);
-  const auto via_ifma = run(X25519BatchEngine::kIfma);
-  EXPECT_EQ(hex_encode(via_scalar[0]),
-            "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(hex_encode(via_scalar[i]), hex_encode(via_x4[i])) << "lane " << i;
-    ASSERT_EQ(hex_encode(via_scalar[i]), hex_encode(via_ifma[i]))
-        << "lane " << i;
-  }
+  x25519_batch(nullptr, 0);  // no items, no view to dereference
   detail::x25519_cache_reset();
 }
 
 TEST(KernelParity, X25519BatchOpCountNeutral) {
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
+  // A batch charges exactly what the same serial calls charge, under
+  // each backend; an empty batch and a rejected one charge nothing.
   Rng rng(0x25519'13);
-  std::vector<Bytes> scalars(7), points(7);
-  for (int i = 0; i < 7; ++i) {
-    scalars[i] = rng.bytes(32);
-    points[i] = rng.bytes(32);
+  for (const auto b : {CryptoBackend::kScalar, CryptoBackend::kAccelerated}) {
+    detail::x25519_cache_reset();
+    ForcedBackend backend(b);
+    BatchRun batch(7, rng);
+    auto before = op_counts().x25519_ops;
+    batch.run();
+    const auto batched = op_counts().x25519_ops - before;
+    before = op_counts().x25519_ops;
+    for (std::size_t i = 0; i < 7; ++i) (void)batch.serial_hex(i);
+    EXPECT_EQ(batched, op_counts().x25519_ops - before) << backend_name(b);
+    EXPECT_EQ(batched, 7u) << backend_name(b);
+
+    before = op_counts().x25519_ops;
+    x25519_batch(nullptr, 0);
+    const Bytes short_point(31, 9);
+    X25519Key out{};
+    X25519BatchItem bad[2] = {{batch.scalars[0], batch.points[0], &out},
+                              {batch.scalars[1], short_point, &out}};
+    EXPECT_THROW(x25519_batch(bad, 2), std::invalid_argument);
+    EXPECT_EQ(op_counts().x25519_ops, before) << backend_name(b);
   }
-  auto charge = [&](X25519BatchEngine e) {
-    ForcedBatchEngine guard(e);
-    std::vector<X25519Key> outs(7);
-    std::vector<X25519BatchItem> items(7);
-    for (int i = 0; i < 7; ++i) {
-      items[i] = X25519BatchItem{scalars[i], points[i], &outs[i]};
-    }
-    const auto before = op_counts().x25519_ops;
-    x25519_batch(items.data(), 7);
-    return op_counts().x25519_ops - before;
-  };
-  // Every engine charges exactly what 7 serial x25519() calls would.
-  EXPECT_EQ(charge(X25519BatchEngine::kScalar), 7u);
-  EXPECT_EQ(charge(X25519BatchEngine::kX4), 7u);
-  EXPECT_EQ(charge(X25519BatchEngine::kIfma), 7u);
   detail::x25519_cache_reset();
 }
 
 TEST(KernelParity, X25519BatchCombInterplayStaysBitIdentical) {
-  // A batch mixing comb-served lanes (the base point from the first
-  // round, a static peer from its 6th use) with ladder-bound lanes
-  // (fresh points) must stay bit-identical to the ladder, and every
-  // item must count as one use of its point, as a serial call would.
+  // A batch mixing comb-served items (the base point from the first
+  // round, a static peer from its 6th use) with ladder-bound items
+  // (fresh points) must stay bit-identical to serial x25519() calls,
+  // and every item must count as one use of its point, as a serial
+  // fixed-point call would.
   detail::x25519_cache_reset();
   ForcedBackend backend(CryptoBackend::kAccelerated);
-  ForcedBatchEngine engine(X25519BatchEngine::kX4);
   Bytes base(32, 0);
   base[0] = 9;
   Rng rng(0x25519'14);
@@ -544,58 +511,18 @@ TEST(KernelParity, X25519BatchCombInterplayStaysBitIdentical) {
   const Bytes peer(peer_key.begin(), peer_key.end());
   const std::uint64_t builds = counter_value(kCombBuild);
   for (int round = 0; round < 8; ++round) {
-    Bytes scalars[4], points[4];
-    X25519Key outs[4];
-    X25519BatchItem items[4];
-    for (int l = 0; l < 4; ++l) {
-      scalars[l] = rng.bytes(32);
-      points[l] = l == 0 ? base : l == 1 ? peer : rng.bytes(32);
-      items[l] = X25519BatchItem{scalars[l], points[l], &outs[l]};
-    }
-    x25519_batch(items, 4);
-    for (int l = 0; l < 4; ++l) {
-      ASSERT_EQ(hex_encode(outs[l]),
-                hex_encode(detail::x25519_ladder(scalars[l], points[l])))
-          << "round " << round << " lane " << l;
+    BatchRun batch(4, rng);
+    batch.points[0] = base;
+    batch.points[1] = peer;
+    batch.run();
+    for (std::size_t i = 0; i < 4; ++i) {
+      ASSERT_EQ(hex_encode(batch.outs[i]), batch.serial_hex(i))
+          << "round " << round << " item " << i;
     }
     // The peer's table is built on its 6th use, in round 5.
     EXPECT_EQ(counter_value(kCombBuild) - builds, round >= 5 ? 1u : 0u)
         << "round " << round;
   }
-  detail::x25519_cache_reset();
-}
-
-TEST(KernelParity, X25519BatchEngineDispatchHonorsBackend) {
-  // SHIELD5G_CRYPTO_BACKEND=scalar (here: a forced scalar backend) must
-  // pull the batch engine down to scalar too — the reference path never
-  // runs vector code.
-  ForcedBackend backend(CryptoBackend::kScalar);
-  EXPECT_EQ(x25519_batch_engine(), X25519BatchEngine::kScalar);
-  EXPECT_STREQ(x25519_batch_engine_name(X25519BatchEngine::kScalar), "scalar");
-  EXPECT_STREQ(x25519_batch_engine_name(X25519BatchEngine::kX4), "x4");
-}
-
-TEST(KernelParity, MultBatcherFlushesInOrder) {
-  detail::x25519_cache_reset();
-  ForcedBackend backend(CryptoBackend::kAccelerated);
-  Rng rng(0x25519'15);
-  std::vector<Bytes> scalars(6), points(6);
-  std::vector<X25519Key> outs(6);
-  MultBatcher batcher;
-  for (int i = 0; i < 6; ++i) {
-    scalars[i] = rng.bytes(32);
-    points[i] = rng.bytes(32);
-    batcher.enqueue(scalars[i], points[i], &outs[i]);
-  }
-  EXPECT_EQ(batcher.pending(), 6u);
-  batcher.flush();
-  EXPECT_EQ(batcher.pending(), 0u);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_EQ(hex_encode(outs[i]),
-              hex_encode(detail::x25519_ladder(scalars[i], points[i])))
-        << "item " << i;
-  }
-  batcher.flush();  // empty flush is a no-op
   detail::x25519_cache_reset();
 }
 

@@ -38,17 +38,15 @@ bool public_method(const std::string& name) {
 }
 
 /// Crypto entry points whose key material arrives as plain byte arrays
-/// — the 4-lane batch kernels take scalars in the lane-sliced wire
-/// shape (uint8_t k[4][32]), which the Secret type system cannot mark.
+/// — a lane-sliced kernel takes scalars in a wire shape such as
+/// uint8_t k[4][32], which the Secret type system cannot mark.
 /// Seeding the named parameter keeps secret-dependent control flow
-/// inside the kernels visible to this pass.
+/// inside such kernels visible to this pass.
 const std::unordered_map<std::string, std::vector<std::string>>&
 entry_point_secret_params() {
   static const std::unordered_map<std::string, std::vector<std::string>>
       kMap{
           {"lanes_ladder4", {"k"}},
-          {"x25519_x4_ladder4", {"k"}},
-          {"x25519_ifma_ladder4", {"k"}},
       };
   return kMap;
 }
@@ -256,9 +254,9 @@ class FunctionTaint {
   }
 
   /// x25519_clamp(dst, scalar) writes clamped key material: the
-  /// destination is secret no matter how the scalar arrived — the
-  /// batch path hands it over inside X25519BatchItem, which lexical
-  /// taint cannot see through, so the destination seeds unconditionally.
+  /// destination is secret no matter how the scalar arrived — a struct
+  /// member, say, which lexical taint cannot see through — so the
+  /// destination seeds unconditionally.
   void propagate_clamp(std::size_t i) {
     if (toks_[i].text != "x25519_clamp") return;
     if (i + 1 >= toks_.size() || toks_[i + 1].text != "(") return;

@@ -53,9 +53,9 @@ void copy_then_branch(const SecretBytes& kausf, std::uint8_t* out) {
   }
 }
 
-// The 4-lane batch kernels take raw scalar arrays (the lane-sliced
-// wire shape, no Secret type): ct-flow knows these entry points by
-// name and seeds the scalar parameter.
+// A lane-sliced kernel takes raw scalar arrays (no Secret type):
+// ct-flow knows such entry points by name and seeds the scalar
+// parameter.
 void lanes_ladder4(const std::uint8_t k[4][32], std::uint8_t* out) {
   if (k[0][31] & 0x80) {  // lint-expect(ct-flow)
     out[0] = 1;
