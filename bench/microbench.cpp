@@ -14,7 +14,6 @@
 #include "crypto/sha256.h"
 #include "crypto/suci.h"
 #include "crypto/x25519.h"
-#include "crypto/x25519_batch.h"
 #include "json/json.h"
 #include "net/bus.h"
 #include "net/env.h"
@@ -93,37 +92,25 @@ void BM_X25519(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519);
 
-// Batched ladder throughput at batch widths 1 / 4 / 8. Every iteration
-// stamps fresh points (a counter over random bytes) so no point is ever
-// used twice and the comb cache never builds a table — this isolates
-// the per-item ladder loop. Reported items/s are mults/s.
-void BM_X25519BatchLadder(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  std::vector<std::array<std::uint8_t, 32>> scalars(n), points(n);
-  std::vector<crypto::X25519Key> outs(n);
-  std::vector<crypto::X25519BatchItem> items(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Bytes s = rng.bytes(32), p = rng.bytes(32);
-    std::copy(s.begin(), s.end(), scalars[i].begin());
-    std::copy(p.begin(), p.end(), points[i].begin());
-    items[i] = crypto::X25519BatchItem{SecretView(ByteView(scalars[i])),
-                                       ByteView(points[i]), &outs[i]};
+// What an ephemeral-pool draw runs: a fresh key pair plus its shared
+// secret with a static peer, fused into one inversion. The peer is
+// warm (its comb table is built before timing), so both mults take the
+// comb, as they do for the home-network key and server identities.
+void BM_X25519KeypairShared(benchmark::State& state) {
+  Rng rng(8);
+  const auto peer = crypto::x25519_keypair(rng.bytes(32));
+  const Bytes random = rng.bytes(32);
+  crypto::X25519Key shared{};
+  for (int i = 0; i < 6; ++i) {
+    (void)crypto::x25519_keypair_shared(random, peer.public_key, shared);
   }
-  std::uint64_t stamp = 0;
   for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ++stamp;  // unique u-coordinate per mult: the comb never engages
-      for (int b = 0; b < 8; ++b) {
-        points[i][b] = static_cast<std::uint8_t>(stamp >> (8 * b));
-      }
-    }
-    crypto::x25519_batch(items.data(), items.size());
-    benchmark::DoNotOptimize(outs.data());
+    benchmark::DoNotOptimize(
+        crypto::x25519_keypair_shared(random, peer.public_key, shared));
+    benchmark::DoNotOptimize(shared);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
-BENCHMARK(BM_X25519BatchLadder)->ArgName("batch")->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_X25519KeypairShared);
 
 void BM_SuciConceal(benchmark::State& state) {
   Rng rng(6);

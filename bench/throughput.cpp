@@ -285,12 +285,10 @@ bool validate(const std::string& text) {
   }
   const json::Value* eph = field("x25519_pool");
   if (eph == nullptr || !eph->is_object()) return fail("x25519_pool");
-  for (const char* key : {"hit", "refill_keys", "shared_keys"}) {
-    const json::Object& e = eph->as_object();
-    const auto it = e.find(key);
-    if (it == e.end() || !it->second.is_number()) {
-      return fail("x25519_pool field");
-    }
+  const json::Object& e = eph->as_object();
+  const auto eph_hit = e.find("hit");
+  if (eph_hit == e.end() || !eph_hit->second.is_number()) {
+    return fail("x25519_pool field");
   }
   for (const char* key : {"resumption_rate", "x25519_per_reg"}) {
     const json::Value* v = field(key);
@@ -438,17 +436,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(resume_misses),
               static_cast<unsigned long long>(resume_rejects),
               100.0 * resumption_rate, per_reg.x25519);
-  // refill_keys counts key pairs minted (a multiple of the batch
-  // capacity, so it reads >= hits); shared_keys counts pairs whose
-  // peer shared secret was batch-precomputed.
-  std::printf("  x25519 pool: %llu hits / %llu keys minted in refills / "
-              "%llu shared precomputed\n",
+  std::printf("  x25519 pool: %llu hits\n",
               static_cast<unsigned long long>(
-                  counter_value("x25519.pool.hit")),
-              static_cast<unsigned long long>(
-                  counter_value("x25519.pool.refill_keys")),
-              static_cast<unsigned long long>(
-                  counter_value("x25519.pool.shared_keys")));
+                  counter_value("x25519.pool.hit")));
 
   const double headline_regs_per_s =
       total_wall_ms > 0.0
@@ -490,8 +480,6 @@ int main(int argc, char** argv) {
   {
     json::Object eph_obj;
     eph_obj["hit"] = json::Value(counter_value("x25519.pool.hit"));
-    eph_obj["refill_keys"] = json::Value(counter_value("x25519.pool.refill_keys"));
-    eph_obj["shared_keys"] = json::Value(counter_value("x25519.pool.shared_keys"));
     root["x25519_pool"] = json::Value(std::move(eph_obj));
   }
   root["x25519_per_reg"] = json::Value(per_reg.x25519);

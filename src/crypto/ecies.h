@@ -40,7 +40,7 @@ EciesCiphertext ecies_encrypt(ByteView receiver_public, ByteView plaintext,
                               ByteView ephemeral_random);
 
 /// Variant consuming a pool-prepared pair whose shared secret against
-/// `receiver_public` was already computed (EphemeralKeyPool's batched
+/// `receiver_public` was already computed (EphemeralKeyPool's
 /// acquire_shared): no scalar multiplication runs here at all. The
 /// caller asserts that `prepared.shared` was formed against this
 /// receiver key; output is identical to the entropy variant fed the

@@ -44,8 +44,8 @@ Suci conceal_supi(const std::string& mcc, const std::string& mnc,
                   ByteView hn_public, ByteView ephemeral_random);
 
 /// Variant consuming a pool-prepared pair with the shared secret
-/// against `hn_public` already computed (batched off the critical
-/// path): zero scalar mults in-line. Identical output for the same
+/// against `hn_public` already computed (off the critical path):
+/// zero scalar mults in-line. Identical output for the same
 /// ephemeral scalar.
 Suci conceal_supi(const std::string& mcc, const std::string& mnc,
                   const std::string& msin, SuciScheme scheme,

@@ -12,7 +12,6 @@
 #include "crypto/cpu_dispatch.h"
 #include "crypto/fe25519.h"
 #include "crypto/op_count.h"
-#include "crypto/x25519_batch.h"
 #include "crypto/x25519_comb.h"
 #include "crypto/x25519_internal.h"
 
@@ -214,22 +213,6 @@ X25519KeyPair x25519_keypair(ByteView random32) {
   kp.private_key = Secret<kX25519KeySize>(random32);
   kp.public_key = x25519_public(kp.private_key);
   return kp;
-}
-
-void x25519_batch(X25519BatchItem* items, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (items[i].scalar.size() != 32 || items[i].point.size() != 32 ||
-        items[i].out == nullptr) {
-      throw std::invalid_argument(
-          "x25519_batch: items need 32-byte scalar/point and an output");
-    }
-  }
-  if (n == 0) return;
-  ScopedStage timer(HotStage::kCrypto);
-  op_counts().x25519_ops += n;  // exactly what n serial calls charge
-  for (std::size_t i = 0; i < n; ++i) {
-    fixed_mult(items[i].scalar, items[i].point, *items[i].out);
-  }
 }
 
 namespace detail {

@@ -24,7 +24,7 @@ X25519Key x25519(SecretView scalar, ByteView u);
 
 /// Public key for a private scalar: X25519(scalar, 9). This and the
 /// other fixed-point entry points (x25519_keypair, the peer of
-/// x25519_keypair_shared, x25519_batch) may take the Edwards comb
+/// x25519_keypair_shared) may take the Edwards comb
 /// (crypto/x25519_comb.h); the output is the same either way.
 X25519Key x25519_public(SecretView scalar);
 
@@ -48,8 +48,8 @@ X25519KeyPair x25519_keypair_shared(ByteView random32, ByteView peer_public,
 
 /// An ephemeral key pair bundled with the shared secret it forms with a
 /// known peer key — what a TLS first contact or an ECIES conceal
-/// actually consumes. Produced in batches by EphemeralKeyPool's
-/// per-peer precompute (crypto/eph_pool.h).
+/// actually consumes. Minted off the op meter by
+/// EphemeralKeyPool::acquire_shared (crypto/eph_pool.h).
 struct X25519SharedKeyPair {
   X25519KeyPair kp;
   X25519Key shared{};

@@ -2,7 +2,7 @@
 //
 // Production code calls the public entry points: x25519() always runs
 // the ladder, and the fixed-point ones (x25519_public, x25519_keypair,
-// x25519_keypair_shared, x25519_batch) pick the comb on their own.
+// x25519_keypair_shared) pick the comb on their own.
 // These hooks let tests pin a specific path and assert that the
 // Montgomery ladder and the Edwards comb agree bit for bit.
 #pragma once

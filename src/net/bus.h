@@ -266,7 +266,7 @@ class Bus {
     return tickets_.evictions();
   }
 
-  /// Ephemeral-key precompute pool consumed by the client side of full
+  /// Ephemeral-key pool consumed by the client side of full
   /// handshakes (nullptr = generate from the bus RNG, the legacy path).
   void set_eph_pool(crypto::EphemeralKeyPool* pool) noexcept {
     eph_pool_ = pool;

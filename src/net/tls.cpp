@@ -251,9 +251,9 @@ TlsSession::ClientHandshake TlsSession::client_connect_resumable(
   crypto::X25519Key shared;
   crypto::X25519KeyPair eph;
   if (pool != nullptr) {
-    // Pool-prepared ephemeral with the shared secret against this
-    // server key precomputed in a batch: no scalar mult runs in-line
-    // (the op meter is still charged one, at acquisition).
+    // Pool-minted ephemeral with its shared secret against this
+    // server key, computed off the op meter (which is still charged
+    // one mult, at acquisition).
     crypto::X25519SharedKeyPair prep = pool->acquire_shared(server_public);
     eph = std::move(prep.kp);
     shared = prep.shared;

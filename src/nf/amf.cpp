@@ -1,6 +1,7 @@
 #include "nf/amf.h"
 
 #include "common/log.h"
+#include "common/stats.h"
 #include "crypto/cost.h"
 #include "crypto/key_hierarchy.h"
 #include "crypto/suci.h"
@@ -373,7 +374,10 @@ std::optional<Bytes> Amf::handle_uplink(std::uint64_t ran_ue_id,
     const auto inner = sec->open(ctx.knas_int, ctx.knas_enc);
     env_.compute(ops.ns(bus_.costs().primitives));
     if (!inner || sec->count != ctx.ul_count) {
-      S5G_LOG(LogLevel::kWarn, "amf") << "NAS integrity failure";
+      // A bad MAC or a stale COUNT. Counted, not logged: under shedding
+      // this fires thousands of times per run. The name fits the
+      // small-string buffer, so the bump never allocates.
+      counter_add("amf.nas.badmac");
       return std::nullopt;
     }
     ++ctx.ul_count;

@@ -34,7 +34,7 @@ enum class UeNasState {
 
 class UeDevice {
  public:
-  /// `eph_pool` (optional) supplies pregenerated ECIES ephemerals for
+  /// `eph_pool` (optional) supplies off-meter ECIES ephemerals for
   /// SUCI concealment; nullptr draws fresh entropy from the UE RNG (the
   /// legacy path, byte-identical to earlier revisions).
   UeDevice(UsimConfig usim, std::uint64_t seed,

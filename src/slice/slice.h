@@ -51,9 +51,10 @@ struct SliceConfig {
   /// zero scalar mults. Off by default: the legacy wire path stays the
   /// bit-identity oracle.
   bool tls_resumption = false;
-  /// Ephemeral X25519 precompute pool shared by full TLS handshakes and
-  /// SUCI concealment. Deterministically seeded from `seed`, so sweeps
-  /// stay reproducible; off by default for the same oracle reason.
+  /// Off-meter X25519 ephemeral source (crypto/eph_pool.h) shared by
+  /// full TLS handshakes and SUCI concealment: each draw bills one mult
+  /// instead of two. Seeded from `seed`, so sweeps stay reproducible;
+  /// off by default for the same oracle reason.
   bool eph_pool = false;
   /// Request workers per core VNF (UDR/UDM/AUSF/AMF/SMF/NRF) and the
   /// bounded FIFO depth in front of them. P-AKA module concurrency is
@@ -108,11 +109,6 @@ class Slice {
   net::Bus& bus() noexcept { return bus_; }
   /// Ephemeral-key pool (nullptr unless SliceConfig::eph_pool).
   crypto::EphemeralKeyPool* eph_pool() noexcept { return eph_pool_.get(); }
-  /// Home-network ECIES public key (the peer of every SUCI conceal) —
-  /// lets the load generator prewarm the pool's shared-secret batches.
-  const crypto::X25519Key& hn_public() const noexcept {
-    return hn_key_.public_key;
-  }
   nf::Udr& udr() noexcept { return *udr_; }
   nf::Udm& udm() noexcept { return *udm_; }
   nf::Ausf& ausf() noexcept { return *ausf_; }

@@ -8,6 +8,7 @@
 #include "crypto/aes128.h"
 #include "crypto/cost.h"
 #include "crypto/ecies.h"
+#include "crypto/eph_pool.h"
 #include "crypto/hmac_sha256.h"
 #include "crypto/kdf.h"
 #include "crypto/key_hierarchy.h"
@@ -456,6 +457,32 @@ TEST(X25519, FusedKeypairSharedDegeneratePeer) {
             hex_encode(separate_kp.public_key));
   EXPECT_EQ(hex_encode(fused_shared), hex_encode(separate_shared));
   for (auto byte : fused_shared) EXPECT_EQ(byte, 0);
+}
+
+TEST(EphemeralKeyPool, DrawsAreTheFusedKeypairOverTheSeededStream) {
+  // The i-th acquisition of a pool seeded s is x25519_keypair_shared
+  // over the i-th 32-byte draw of Rng(s), and bills exactly one op.
+  Rng peer_rng(79);
+  const auto peer = x25519_keypair(peer_rng.bytes(32));
+  EphemeralKeyPool pool(EphemeralKeyPool::Config{0xE9AULL});
+  Rng stream(0xE9AULL);
+  for (int i = 0; i < 10; ++i) {
+    const std::uint64_t before = op_counts().x25519_ops;
+    const X25519SharedKeyPair got = pool.acquire_shared(peer.public_key);
+    EXPECT_EQ(op_counts().x25519_ops, before + 1) << "draw " << i;
+    const Bytes random = stream.bytes(32);
+    X25519Key shared{};
+    const auto kp = x25519_keypair_shared(random, peer.public_key, shared);
+    EXPECT_EQ(hex_encode(got.kp.public_key), hex_encode(kp.public_key))
+        << "draw " << i;
+    EXPECT_EQ(hex_encode(got.shared), hex_encode(shared)) << "draw " << i;
+    const auto priv = got.kp.private_key.unsafe_bytes();
+    EXPECT_EQ(Bytes(priv.begin(), priv.end()), random) << "draw " << i;
+  }
+  const Bytes short_peer(31, 9);
+  const std::uint64_t before = op_counts().x25519_ops;
+  EXPECT_THROW(pool.acquire_shared(short_peer), std::invalid_argument);
+  EXPECT_EQ(op_counts().x25519_ops, before);
 }
 
 // ---------------------------------------------------------------------

@@ -23,7 +23,6 @@
 #include "crypto/op_count.h"
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
-#include "crypto/x25519_batch.h"
 #include "crypto/x25519_internal.h"
 
 namespace shield5g::crypto {
@@ -379,41 +378,46 @@ TEST(KernelParity, X25519OpCountsMatchAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------
-// X25519: x25519_batch vs n serial x25519() calls
+// X25519: x25519_keypair_shared vs the serial entry points
 // ---------------------------------------------------------------------
 
-// One batch of n random (scalar, point) items. Tests edit `scalars` and
-// `points` first, then run() binds the items and executes the batch.
-struct BatchRun {
-  std::vector<Bytes> scalars, points;
-  std::vector<X25519Key> outs;
+// Runs of x25519_keypair_shared calls, the fixed-point work every
+// ephemeral-pool draw does. Tests edit `randoms` and `peers` first, then
+// run() makes one fused call per item.
+struct SharedRun {
+  std::vector<Bytes> randoms, peers;
+  std::vector<X25519Key> publics, shareds;
 
-  BatchRun(std::size_t n, Rng& rng) : scalars(n), points(n), outs(n) {
+  SharedRun(std::size_t n, Rng& rng)
+      : randoms(n), peers(n), publics(n), shareds(n) {
     for (std::size_t i = 0; i < n; ++i) {
-      scalars[i] = rng.bytes(32);
-      points[i] = rng.bytes(32);
+      randoms[i] = rng.bytes(32);
+      peers[i] = rng.bytes(32);
     }
   }
 
   void run() {
-    std::vector<X25519BatchItem> items(outs.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      items[i] = X25519BatchItem{scalars[i], points[i], &outs[i]};
+    for (std::size_t i = 0; i < randoms.size(); ++i) {
+      publics[i] =
+          x25519_keypair_shared(randoms[i], peers[i], shareds[i]).public_key;
     }
-    x25519_batch(items.data(), items.size());
   }
 
-  // Item i against the serial, variable-base x25519().
-  std::string serial_hex(std::size_t i) const {
-    return hex_encode(x25519(scalars[i], points[i]));
+  // Both halves of item i against the serial path: the variable-base
+  // x25519() ladder for the shared secret, x25519_public for the key.
+  void expect_serial(std::size_t i, const std::string& where) const {
+    ASSERT_EQ(hex_encode(shareds[i]), hex_encode(x25519(randoms[i], peers[i])))
+        << where << " shared, item " << i;
+    ASSERT_EQ(hex_encode(publics[i]), hex_encode(x25519_public(randoms[i])))
+        << where << " public, item " << i;
   }
 };
 
 TEST(KernelParity, X25519BatchMatchesLadderRandom1k) {
-  // 1024 items in one batch, under each backend, each checked against
-  // a serial x25519() call: random points (about half on the twist),
-  // the low-order points u = 0 and u = 1, non-canonical u (the top bit
-  // set, and p + 1), and the RFC 7748 section 5.2 vector as item 0.
+  // 1024 fused calls under each backend, each checked against the
+  // serial path: random peers (about half on the twist), the low-order
+  // points u = 0 and u = 1, non-canonical u (the top bit set, and
+  // p + 1), and the RFC 7748 section 5.2 vector as item 0.
   Bytes p_plus_1(32, 0xff);
   p_plus_1[0] = 0xee;
   p_plus_1[31] = 0x7f;
@@ -421,28 +425,27 @@ TEST(KernelParity, X25519BatchMatchesLadderRandom1k) {
     detail::x25519_cache_reset();
     ForcedBackend backend(b);
     Rng rng(0x25519'10);
-    BatchRun batch(1024, rng);
-    batch.scalars[0] = h2b(
+    SharedRun batch(1024, rng);
+    batch.randoms[0] = h2b(
         "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
-    batch.points[0] = h2b(
+    batch.peers[0] = h2b(
         "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
-    for (std::size_t i = 16; i + 3 < batch.points.size(); i += 16) {
-      batch.points[i] = Bytes(32, 0);
-      batch.points[i + 1] = Bytes(32, 0);
-      batch.points[i + 1][0] = 1;
-      batch.points[i + 2][31] |= 0x80;
-      batch.points[i + 3] = p_plus_1;
+    for (std::size_t i = 16; i + 3 < batch.peers.size(); i += 16) {
+      batch.peers[i] = Bytes(32, 0);
+      batch.peers[i + 1] = Bytes(32, 0);
+      batch.peers[i + 1][0] = 1;
+      batch.peers[i + 2][31] |= 0x80;
+      batch.peers[i + 3] = p_plus_1;
     }
     batch.run();
-    EXPECT_EQ(hex_encode(batch.outs[0]),
+    EXPECT_EQ(hex_encode(batch.shareds[0]),
               "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
     int zero_outputs = 0, twist = 0;
-    for (std::size_t i = 0; i < batch.outs.size(); ++i) {
-      ASSERT_EQ(hex_encode(batch.outs[i]), batch.serial_hex(i))
-          << backend_name(b) << " item " << i;
-      if (batch.outs[i] == X25519Key{}) ++zero_outputs;
+    for (std::size_t i = 0; i < batch.shareds.size(); ++i) {
+      ASSERT_NO_FATAL_FAILURE(batch.expect_serial(i, backend_name(b)));
+      if (batch.shareds[i] == X25519Key{}) ++zero_outputs;
       // Liftability builds a throwaway table; sample the first items.
-      if (i < 32 && !detail::x25519_comb_liftable(batch.points[i])) ++twist;
+      if (i < 32 && !detail::x25519_comb_liftable(batch.peers[i])) ++twist;
     }
     // The low-order items collapse to zero, as the serial ladder's do.
     EXPECT_GT(zero_outputs, 0);
@@ -452,56 +455,66 @@ TEST(KernelParity, X25519BatchMatchesLadderRandom1k) {
 }
 
 TEST(KernelParity, X25519BatchPartialSizesMatchSerial) {
-  // Every small size, including the empty batch.
-  detail::x25519_cache_reset();
+  // A static peer used n times, for every n up to 9: runs that stop
+  // before the peer's 6th use stay on the ladder, longer ones switch to
+  // its comb table mid-run, and every call matches the serial path.
   ForcedBackend backend(CryptoBackend::kAccelerated);
   Rng rng(0x25519'11);
   for (std::size_t n = 0; n <= 9; ++n) {
-    BatchRun batch(n, rng);
+    detail::x25519_cache_reset();
+    const X25519Key peer_key = x25519_public(rng.bytes(32));
+    const std::uint64_t builds = counter_value(kCombBuild);
+    SharedRun batch(n, rng);
+    for (Bytes& peer : batch.peers) peer.assign(peer_key.begin(), peer_key.end());
     batch.run();
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hex_encode(batch.outs[i]), batch.serial_hex(i))
-          << "n " << n << " item " << i;
+      batch.expect_serial(i, "n " + std::to_string(n));
     }
+    EXPECT_EQ(counter_value(kCombBuild) - builds, n >= 6 ? 1u : 0u)
+        << "n " << n;
   }
-  x25519_batch(nullptr, 0);  // no items, no view to dereference
   detail::x25519_cache_reset();
 }
 
 TEST(KernelParity, X25519BatchOpCountNeutral) {
-  // A batch charges exactly what the same serial calls charge, under
-  // each backend; an empty batch and a rejected one charge nothing.
+  // A fused call charges exactly the 2 ops of its serial pair
+  // (x25519_public, then x25519), under each backend; a rejected call
+  // charges nothing.
   Rng rng(0x25519'13);
   for (const auto b : {CryptoBackend::kScalar, CryptoBackend::kAccelerated}) {
     detail::x25519_cache_reset();
     ForcedBackend backend(b);
-    BatchRun batch(7, rng);
+    SharedRun batch(7, rng);
     auto before = op_counts().x25519_ops;
     batch.run();
-    const auto batched = op_counts().x25519_ops - before;
+    const auto fused = op_counts().x25519_ops - before;
     before = op_counts().x25519_ops;
-    for (std::size_t i = 0; i < 7; ++i) (void)batch.serial_hex(i);
-    EXPECT_EQ(batched, op_counts().x25519_ops - before) << backend_name(b);
-    EXPECT_EQ(batched, 7u) << backend_name(b);
+    for (std::size_t i = 0; i < 7; ++i) {
+      (void)x25519_public(batch.randoms[i]);
+      (void)x25519(batch.randoms[i], batch.peers[i]);
+    }
+    EXPECT_EQ(fused, op_counts().x25519_ops - before) << backend_name(b);
+    EXPECT_EQ(fused, 2u * 7u) << backend_name(b);
 
     before = op_counts().x25519_ops;
-    x25519_batch(nullptr, 0);
     const Bytes short_point(31, 9);
     X25519Key out{};
-    X25519BatchItem bad[2] = {{batch.scalars[0], batch.points[0], &out},
-                              {batch.scalars[1], short_point, &out}};
-    EXPECT_THROW(x25519_batch(bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)x25519_keypair_shared(batch.randoms[0], short_point, out),
+                 std::invalid_argument);
+    EXPECT_THROW((void)x25519_keypair_shared(short_point, batch.peers[0], out),
+                 std::invalid_argument);
     EXPECT_EQ(op_counts().x25519_ops, before) << backend_name(b);
   }
   detail::x25519_cache_reset();
 }
 
 TEST(KernelParity, X25519BatchCombInterplayStaysBitIdentical) {
-  // A batch mixing comb-served items (the base point from the first
-  // round, a static peer from its 6th use) with ladder-bound items
-  // (fresh points) must stay bit-identical to serial x25519() calls,
-  // and every item must count as one use of its point, as a serial
-  // fixed-point call would.
+  // Fused calls against the base point (comb-served from the first
+  // round) and a static peer (comb-served from its 6th use),
+  // interleaved with calls against fresh points (ladder-bound): every
+  // call must stay
+  // bit-identical to the serial path, and every call counts as one use
+  // of its peer, as a serial fixed-point call would.
   detail::x25519_cache_reset();
   ForcedBackend backend(CryptoBackend::kAccelerated);
   Bytes base(32, 0);
@@ -511,13 +524,12 @@ TEST(KernelParity, X25519BatchCombInterplayStaysBitIdentical) {
   const Bytes peer(peer_key.begin(), peer_key.end());
   const std::uint64_t builds = counter_value(kCombBuild);
   for (int round = 0; round < 8; ++round) {
-    BatchRun batch(4, rng);
-    batch.points[0] = base;
-    batch.points[1] = peer;
+    SharedRun batch(4, rng);
+    batch.peers[0] = base;
+    batch.peers[1] = peer;
     batch.run();
     for (std::size_t i = 0; i < 4; ++i) {
-      ASSERT_EQ(hex_encode(batch.outs[i]), batch.serial_hex(i))
-          << "round " << round << " item " << i;
+      batch.expect_serial(i, "round " + std::to_string(round));
     }
     // The peer's table is built on its 6th use, in round 5.
     EXPECT_EQ(counter_value(kCombBuild) - builds, round >= 5 ? 1u : 0u)

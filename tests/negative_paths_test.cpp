@@ -3,11 +3,13 @@
 // 4xx/5xx responses — never crashes or silent acceptance.
 #include <gtest/gtest.h>
 
+#include "common/stats.h"
 #include "json/json.h"
 #include "nf/sbi.h"
 #include "paka/aka_amf.h"
 #include "paka/aka_ausf.h"
 #include "paka/aka_udm.h"
+#include "ran/ue.h"
 #include "slice/slice.h"
 
 namespace shield5g {
@@ -137,6 +139,39 @@ TEST_F(NegativeFixture, AmfIgnoresOutOfOrderNas) {
   // A SecurityModeComplete with no security context fails the MAC.
   const auto sec = nf::SecuredNas::protect(msg, Bytes(16, 2), 0, false);
   EXPECT_EQ(slice_->amf().handle_uplink(99, sec.encode()), std::nullopt);
+}
+
+TEST_F(NegativeFixture, AmfCountsEachSecuredUplinkIntegrityFailureOnce) {
+  // Register one UE straight against the AMF, keeping its last secured
+  // uplink (the RegistrationComplete).
+  constexpr std::uint64_t kRanUeId = 7;
+  ran::UeDevice ue(slice_->subscriber(0), 0x0eULL);
+  std::optional<Bytes> uplink = ue.start_registration();
+  Bytes last_secured;
+  for (int round = 0; uplink && round < 16; ++round) {
+    if (nf::SecuredNas::decode(*uplink)) last_secured = *uplink;
+    const auto downlink = slice_->amf().handle_uplink(kRanUeId, *uplink);
+    if (!downlink) break;
+    uplink = ue.handle_downlink(*downlink);
+  }
+  ASSERT_EQ(ue.state(), ran::UeNasState::kRegistered);
+  ASSERT_FALSE(last_secured.empty());
+
+  const std::uint64_t before = counter_value("amf.nas.badmac");
+  // Stale COUNT: the replayed uplink carries a valid MAC.
+  EXPECT_EQ(slice_->amf().handle_uplink(kRanUeId, last_secured), std::nullopt);
+  EXPECT_EQ(counter_value("amf.nas.badmac") - before, 1u);
+  // Bad MAC on an uplink with the expected COUNT.
+  const Bytes fresh = ue.request_deregistration();
+  auto tampered = nf::SecuredNas::decode(fresh);
+  ASSERT_TRUE(tampered.has_value());
+  tampered->mac[0] ^= 0x01;
+  EXPECT_EQ(slice_->amf().handle_uplink(kRanUeId, tampered->encode()),
+            std::nullopt);
+  EXPECT_EQ(counter_value("amf.nas.badmac") - before, 2u);
+  // The untouched uplink still verifies and is not counted.
+  (void)slice_->amf().handle_uplink(kRanUeId, fresh);
+  EXPECT_EQ(counter_value("amf.nas.badmac") - before, 2u);
 }
 
 TEST_F(NegativeFixture, FailuresLeaveSliceServiceable) {

@@ -295,7 +295,6 @@ TEST_F(ResumableFixture, PoolBackedFullHandshakeMatchesPoolFree) {
   // handshakes interop with the same server and cost 1 mult client-side
   // (pool) vs 2 (fresh).
   crypto::EphemeralKeyPool::Config cfg;
-  cfg.capacity = 4;
   cfg.seed = 7;
   crypto::EphemeralKeyPool pool(cfg);
 
