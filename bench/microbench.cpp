@@ -14,6 +14,7 @@
 #include "crypto/sha256.h"
 #include "crypto/suci.h"
 #include "crypto/x25519.h"
+#include "crypto/x25519_internal.h"
 #include "json/json.h"
 #include "net/bus.h"
 #include "net/env.h"
@@ -81,7 +82,8 @@ void BM_HeAvGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_HeAvGeneration);
 
-// Variable-base X25519: always the ladder, even on a repeated point.
+// Variable-base X25519: always the ladder, even on a repeated point,
+// on the engine the backend and CPU select (the label names it).
 void BM_X25519(benchmark::State& state) {
   Rng rng(5);
   const Bytes scalar = rng.bytes(32);
@@ -89,8 +91,22 @@ void BM_X25519(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::x25519(scalar, peer.public_key));
   }
+  state.SetLabel(crypto::x25519_ladder_name());
 }
 BENCHMARK(BM_X25519);
+
+// The same ladder on the portable 5x51 engine, so one run shows the
+// ratio to BM_X25519.
+void BM_X25519Portable(benchmark::State& state) {
+  Rng rng(5);
+  const Bytes scalar = rng.bytes(32);
+  const auto peer = crypto::x25519_keypair(rng.bytes(32));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::detail::x25519_ladder_portable(scalar, peer.public_key));
+  }
+}
+BENCHMARK(BM_X25519Portable);
 
 // What an ephemeral-pool draw runs: a fresh key pair plus its shared
 // secret with a static peer, fused into one inversion. The peer is

@@ -174,6 +174,7 @@ struct ServeRun {
   double speedup = 0.0;
   std::uint64_t digest = 0;
   std::uint64_t backpressure = 0;
+  std::uint64_t nas_badmac = 0;
   bool match = false;
 };
 
@@ -228,7 +229,8 @@ bool validate(const std::string& text) {
     if (!entry.is_object()) return fail("run entry");
     const json::Object& r = entry.as_object();
     for (const char* key :
-         {"shards", "wall_ms", "regs_per_s", "speedup", "backpressure"}) {
+         {"shards", "wall_ms", "regs_per_s", "speedup", "backpressure",
+          "nas_badmac"}) {
       const auto it = r.find(key);
       if (it == r.end() || !it->second.is_number()) return fail(key);
     }
@@ -294,6 +296,7 @@ int main(int argc, char** argv) {
     run.regs_per_s = report.regs_per_s;
     run.digest = report.digest;
     run.backpressure = report.backpressure;
+    run.nas_badmac = report.nas_badmac;
     if (runs.empty()) {
       seq_digest = report.digest;
       seq_lines = report.digest_lines;
@@ -302,9 +305,9 @@ int main(int argc, char** argv) {
     run.match = run.digest == seq_digest;
     run.speedup = run.wall_ms > 0.0 ? seq_wall_ms / run.wall_ms : 0.0;
     std::printf("  shards=%-3u %8.1f ms  %8.0f regs/s  speedup %.2fx  "
-                "digest %s  %s\n",
+                "nas badmac %" PRIu64 "  digest %s  %s\n",
                 run.shards, run.wall_ms, run.regs_per_s, run.speedup,
-                hex64(run.digest).c_str(),
+                run.nas_badmac, hex64(run.digest).c_str(),
                 run.match ? "== sequential" : "DIVERGED");
     if (!run.match) {
       deterministic = false;
@@ -369,6 +372,7 @@ int main(int argc, char** argv) {
     entry["speedup"] = json::Value(run.speedup);
     entry["backpressure"] =
         json::Value(static_cast<std::uint64_t>(run.backpressure));
+    entry["nas_badmac"] = json::Value(run.nas_badmac);
     entry["digest"] = json::Value(hex64(run.digest));
     entry["digest_matches_sequential"] = json::Value(run.match);
     run_entries.emplace_back(std::move(entry));

@@ -39,7 +39,7 @@
 #include "common/stats.h"
 #include "crypto/cpu_dispatch.h"
 #include "crypto/op_count.h"
-#include "crypto/x25519_batch.h"
+#include "crypto/x25519.h"
 #include "json/json.h"
 #include "load/sweep.h"
 #include "sim/shard_pool.h"
@@ -90,6 +90,7 @@ struct ModeResult {
   std::uint32_t failed_shed = 0;
   std::uint32_t failed_error = 0;
   std::uint64_t fastpath_hits = 0;
+  std::uint64_t nas_badmac = 0;
   double elapsed_ms_median = 0.0;
   double regs_per_s = 0.0;
   std::uint64_t stage_ns[kHotStageCount] = {};
@@ -152,6 +153,7 @@ ModeResult fold_mode(slice::IsolationMode mode,
     result.failed_shed = r.report.failed_shed;
     result.failed_error = r.report.failed_error;
     result.fastpath_hits = r.fastpath_hits;
+    result.nas_badmac = r.nas_badmac;
     elapsed_ms.add(r.run_wall_ms);
     if (r.run_wall_ms > 0.0) {
       rate.add(static_cast<double>(r.report.registered) /
@@ -303,7 +305,8 @@ bool validate(const std::string& text) {
     if (!entry.is_object()) return fail("modes entry not an object");
     const json::Object& m = entry.as_object();
     for (const char* key : {"registered", "failed", "shed", "error",
-                            "fastpath_hits", "elapsed_ms", "regs_per_s"}) {
+                            "fastpath_hits", "nas_badmac", "elapsed_ms",
+                            "regs_per_s"}) {
       const auto it = m.find(key);
       if (it == m.end() || !it->second.is_number()) return fail(key);
     }
@@ -380,10 +383,11 @@ int main(int argc, char** argv) {
   for (std::size_t m = 0; m < std::size(modes); ++m) {
     ModeResult r = fold_mode(modes[m], &sweep[m * opt.repeats], opt.repeats);
     std::printf("  %-11s %u/%u registered (%u shed, %u error), %.1f ms, "
-                "%.0f regs/s wall, %llu fastpath hits\n",
+                "%.0f regs/s wall, %llu fastpath hits, %llu nas badmac\n",
                 r.mode, r.registered, opt.ue_count, r.failed_shed,
                 r.failed_error, r.elapsed_ms_median, r.regs_per_s,
-                static_cast<unsigned long long>(r.fastpath_hits));
+                static_cast<unsigned long long>(r.fastpath_hits),
+                static_cast<unsigned long long>(r.nas_badmac));
     std::uint64_t mode_total = 0;
     for (const HotStage stage : kStages) {
       mode_total += r.stage_ns[static_cast<int>(stage)];
@@ -450,8 +454,7 @@ int main(int argc, char** argv) {
   json::Object root;
   root["schema"] = json::Value(kSchemaId);
   root["backend"] = json::Value(backend);
-  root["x25519_batch_engine"] =
-      json::Value(crypto::x25519_batch_engine_name(crypto::x25519_batch_engine()));
+  root["x25519_ladder"] = json::Value(crypto::x25519_ladder_name());
   root["smoke"] = json::Value(opt.smoke);
   root["ue_count"] = json::Value(static_cast<std::uint64_t>(opt.ue_count));
   root["rate_per_s"] = json::Value(opt.rate_per_s);
@@ -492,6 +495,7 @@ int main(int argc, char** argv) {
     entry["shed"] = json::Value(static_cast<std::uint64_t>(r.failed_shed));
     entry["error"] = json::Value(static_cast<std::uint64_t>(r.failed_error));
     entry["fastpath_hits"] = json::Value(r.fastpath_hits);
+    entry["nas_badmac"] = json::Value(r.nas_badmac);
     entry["elapsed_ms"] = json::Value(r.elapsed_ms_median);
     entry["regs_per_s"] = json::Value(r.regs_per_s);
     entry["stage_ns"] = stage_object(r.stage_ns);

@@ -77,8 +77,9 @@ def headline(report):
                 "registered": entry.get("registered"),
                 "failed": entry.get("failed"),
             }
-            # v2 splits `failed` and attributes fast-path deliveries.
-            for key in ("shed", "error", "fastpath_hits"):
+            # v2 splits `failed`, attributes fast-path deliveries and
+            # (later) counts NAS integrity failures per mode.
+            for key in ("shed", "error", "fastpath_hits", "nas_badmac"):
                 if key in entry:
                     modes[name][key] = entry[key]
         if modes:

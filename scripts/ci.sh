@@ -34,8 +34,10 @@
 #                             # and pin the declassify audit surface and
 #                             # the SHIELD5G_* env-knob count
 #   scripts/ci.sh crypto-parity # kernel_parity under both crypto
-#                             # backends (scalar and accel), plus the
-#                             # scaling bench digests, which must be
+#                             # backends (scalar and accel), each
+#                             # proving which X25519 ladder it ran
+#                             # (portable / ifma4 on an IFMA host), plus
+#                             # the scaling bench digests, which must be
 #                             # byte-identical with the backend forced
 #                             # to scalar vs the default
 #   scripts/ci.sh scale-smoke # shard-runner determinism: run the scaling
@@ -211,7 +213,7 @@ print(f"bench-smoke: tls_resume {res['hit']} hits / {res['miss']} misses / "
       f"{res['reject']} rejects ({100 * doc['resumption_rate']:.1f}% resumed), "
       f"{doc['x25519_per_reg']:.2f} x25519/reg")
 print(f"bench-smoke: x25519_pool {eph['hit']} hits, "
-      f"engine {doc['x25519_batch_engine']}")
+      f"x25519 ladder {doc['x25519_ladder']}")
 EOF
     (cd "$repo" && "$build/tools/shield_analyze/shield_analyze" \
          --baseline tools/shield_analyze/baseline.txt src bench)
@@ -251,12 +253,35 @@ EOF
           -j "$jobs"
     # Bit-identity across dispatch: the full parity suite (1k+ random
     # scalars/points incl. twist and u=0, RFC 7748 vectors, op-count
-    # neutrality) must pass with the crypto backend pinned either way.
-    # On hosts without AES-NI/SHA-NI the accelerated kernels fall back
-    # to scalar; the fixed-point X25519 path is portable and always
-    # runs, so this stage never silently no-ops.
-    SHIELD5G_CRYPTO_BACKEND=scalar "$build/tests/kernel_parity_test"
-    SHIELD5G_CRYPTO_BACKEND=accel "$build/tests/kernel_parity_test"
+    # neutrality, IFMA vs portable ladder) must pass with the crypto
+    # backend pinned either way. On hosts without AES-NI/SHA-NI/IFMA the
+    # accelerated kernels fall back to scalar; the fixed-point X25519
+    # path is portable and always runs, so this stage never silently
+    # no-ops.
+    for backend in scalar accel; do
+      SHIELD5G_CRYPTO_BACKEND=$backend "$build/tests/kernel_parity_test" \
+          | tee "$build/kernel_parity_$backend.log"
+    done
+    # Each run prints the X25519 ladder engine it ran. The scalar run
+    # must have run the portable ladder, and on a host with IFMA the
+    # accel run the 4-lane IFMA one, so neither leg silently tests the
+    # other's engine.
+    ladder_of() {  # $1 = backend -> "<engine> <cpu_ifma>"
+      sed -n 's/^kernel_parity: x25519_ladder=\([a-z0-9]*\) cpu_ifma=\([01]\)$/\1 \2/p' \
+          "$build/kernel_parity_$1.log"
+    }
+    read -r scalar_ladder cpu_ifma <<<"$(ladder_of scalar)" || true
+    read -r accel_ladder _ <<<"$(ladder_of accel)" || true
+    want_accel=portable
+    if [ "${cpu_ifma:-}" = 1 ]; then want_accel=ifma4; fi
+    if [ "${scalar_ladder:-}" != portable ] ||
+       [ "${accel_ladder:-}" != "$want_accel" ]; then
+      echo "crypto-parity: ladder engines scalar=${scalar_ladder:-none}" \
+           "accel=${accel_ladder:-none}, want portable/$want_accel" \
+           "(cpu_ifma=${cpu_ifma:-?})" >&2
+      exit 1
+    fi
+    echo "crypto-parity: x25519 ladder scalar=$scalar_ladder accel=$accel_ladder"
     # End to end: the scaling digests must be byte-identical with the
     # whole crypto stack forced to the scalar reference path.
     rm -f "$build"/parity_digests_*.txt

@@ -28,6 +28,13 @@ void clamp(std::uint8_t k[32], SecretView scalar) {
   k[31] |= 64;
 }
 
+// The 4-lane IFMA ladder runs under the accelerated backend on a CPU
+// with IFMA; the scalar backend and every other host keep the portable
+// one. Both compute the same num/den field values.
+bool use_ifma_ladder() {
+  return active_backend() == CryptoBackend::kAccelerated && cpu_has_ifma();
+}
+
 // RFC 7748 Montgomery ladder over the shared fe25519 arithmetic,
 // stopping short of the final inversion: u = num/den.
 void ladder_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
@@ -63,12 +70,31 @@ void ladder_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
   den = z2;
 }
 
-X25519Key ladder(const std::uint8_t k[32], ByteView u) {
+// The ladder body on the engine the backend and CPU select.
+void dispatch_ladder_fraction(const std::uint8_t k[32], ByteView u, Fe& num,
+                              Fe& den) {
+  if (use_ifma_ladder()) {
+    detail::ladder_fraction_ifma(k, u, num, den);
+  } else {
+    ladder_fraction(k, u, num, den);
+  }
+}
+
+using FractionFn = void (*)(const std::uint8_t*, ByteView, Fe&, Fe&);
+
+// One whole mult through `fraction`: clamp, fraction, inversion.
+// Charges no op counts; the callers do.
+X25519Key mult_with(FractionFn fraction, SecretView scalar, ByteView u) {
+  if (scalar.size() != 32 || u.size() != 32) {
+    throw std::invalid_argument("x25519: inputs must be 32 bytes");
+  }
+  std::uint8_t k[32];
+  clamp(k, scalar);
   Fe num, den;
-  ladder_fraction(k, u, num, den);
-  const Fe out = fe_mul(num, fe_invert(den));
+  fraction(k, u, num, den);
+  secure_zero(k, sizeof(k));
   X25519Key result{};
-  fe_store(result.data(), out);
+  fe_store(result.data(), fe_mul(num, fe_invert(den)));
   return result;
 }
 
@@ -132,19 +158,8 @@ void fixed_fraction(const std::uint8_t k[32], ByteView u, Fe& num, Fe& den) {
   if (const detail::CombTable* table = fixed_table(u)) {
     detail::comb_eval_fraction(*table, k, num, den);
   } else {
-    ladder_fraction(k, u, num, den);
+    dispatch_ladder_fraction(k, u, num, den);
   }
-}
-
-// One whole fixed-point mult: clamp, fraction, inversion. Charges no
-// op counts; the callers do.
-void fixed_mult(SecretView scalar, ByteView u, X25519Key& out) {
-  std::uint8_t k[32];
-  clamp(k, scalar);
-  Fe num, den;
-  fixed_fraction(k, u, num, den);
-  secure_zero(k, sizeof(k));
-  fe_store(out.data(), fe_mul(num, fe_invert(den)));
 }
 
 }  // namespace
@@ -156,6 +171,10 @@ X25519Key x25519(SecretView scalar, ByteView u) {
   ScopedStage timer(HotStage::kCrypto);
   ++op_counts().x25519_ops;
   return detail::x25519_ladder(scalar, u);
+}
+
+const char* x25519_ladder_name() noexcept {
+  return use_ifma_ladder() ? "ifma4" : "portable";
 }
 
 X25519KeyPair x25519_keypair_shared(ByteView random32, ByteView peer_public,
@@ -200,9 +219,7 @@ X25519Key x25519_public(SecretView scalar) {
   }
   ScopedStage timer(HotStage::kCrypto);
   ++op_counts().x25519_ops;
-  X25519Key result{};
-  fixed_mult(scalar, ByteView(kBasePoint), result);
-  return result;
+  return mult_with(fixed_fraction, scalar, ByteView(kBasePoint));
 }
 
 X25519KeyPair x25519_keypair(ByteView random32) {
@@ -220,14 +237,15 @@ namespace detail {
 const CombTable* x25519_fixed_table(ByteView u) { return fixed_table(u); }
 
 X25519Key x25519_ladder(SecretView scalar, ByteView u) {
-  if (scalar.size() != 32 || u.size() != 32) {
-    throw std::invalid_argument("x25519: inputs must be 32 bytes");
-  }
-  std::uint8_t k[32];
-  clamp(k, scalar);
-  X25519Key result = ladder(k, u);
-  secure_zero(k, sizeof(k));
-  return result;
+  return mult_with(dispatch_ladder_fraction, scalar, u);
+}
+
+X25519Key x25519_ladder_portable(SecretView scalar, ByteView u) {
+  return mult_with(ladder_fraction, scalar, u);
+}
+
+X25519Key x25519_ladder_ifma(SecretView scalar, ByteView u) {
+  return mult_with(ladder_fraction_ifma, scalar, u);
 }
 
 X25519Key x25519_comb_forced(SecretView scalar, ByteView u) {

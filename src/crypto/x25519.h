@@ -22,6 +22,12 @@ using X25519Key = std::array<std::uint8_t, kX25519KeySize>;
 /// once, such as a peer's ephemeral key, it always runs the ladder.
 X25519Key x25519(SecretView scalar, ByteView u);
 
+/// The Montgomery ladder engine x25519() runs under the active backend
+/// on this host, for reports: "ifma4" (each step as three 4-lane
+/// AVX-512 IFMA multiplies; accelerated backend on a CPU with IFMA) or
+/// "portable" (the 5x51 ladder). Outputs are identical either way.
+const char* x25519_ladder_name() noexcept;
+
 /// Public key for a private scalar: X25519(scalar, 9). This and the
 /// other fixed-point entry points (x25519_keypair, the peer of
 /// x25519_keypair_shared) may take the Edwards comb

@@ -195,6 +195,7 @@ ServingReport run_serving(const ServingConfig& config, unsigned shards) {
     report.failed_error += r.report.failed_error;
     report.shed += r.shed;
     report.fastpath_hits += r.fastpath_hits;
+    report.nas_badmac += r.nas_badmac;
   }
   if (report.wall_ms > 0) {
     report.regs_per_s = 1000.0 * report.registered / report.wall_ms;

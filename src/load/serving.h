@@ -82,6 +82,9 @@ struct ServingReport {
   /// Co-located fast-path deliveries across all slots (wall-clock-only
   /// metric; excluded from the digest).
   std::uint64_t fastpath_hits = 0;
+  /// Secured NAS uplinks dropped for a bad MAC or a stale COUNT across
+  /// all slots (excluded from the digest).
+  std::uint64_t nas_badmac = 0;
 
   /// Arrivals routed through mailboxes and producer back-pressure
   /// events (mailbox momentarily full). Wall-clock only, never in the

@@ -95,6 +95,7 @@ SweepResult run_load(std::string label, slice::Slice& slice,
   out.queues = queue_snapshots(slice);
   for (const QueueSnapshot& q : out.queues) out.shed += q.rejected;
   out.fastpath_hits = slice.bus().fastpath_hits();
+  out.nas_badmac = slice.amf().nas_badmac();
   // Fold this worker's pool stats into the wire.pool.* counters. Global
   // counters never feed case_digest, so this is digest-neutral.
   BufferPool::publish_thread_stats();

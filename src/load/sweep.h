@@ -42,6 +42,9 @@ struct SweepResult {
   /// container/SGX modes and under SHIELD5G_BUS_FASTPATH=off). Excluded
   /// from case_digest — the digest must match fast path on vs off.
   std::uint64_t fastpath_hits = 0;
+  /// Secured NAS uplinks this case's AMF dropped for a bad MAC or a
+  /// stale COUNT (Amf::nas_badmac). Not part of case_digest.
+  std::uint64_t nas_badmac = 0;
   /// Host milliseconds inside LoadGenerator::run for this case (slice
   /// construction and provisioning excluded, as in bench/throughput).
   double run_wall_ms = 0.0;
@@ -52,7 +55,7 @@ struct SweepResult {
 
 /// Runs the load engine on a created slice and fills every field of
 /// its result: run wall time, hot-stage deltas, queue snapshots, shed
-/// count and fast-path hits. This is the one post-run tail that
+/// count, fast-path hits and NAS integrity failures. This is the one post-run tail that
 /// run_sweep's cases and run_serving's slots share. With `arrivals`
 /// null the engine draws its schedule from `load`; otherwise it replays
 /// the given arrivals.

@@ -378,6 +378,7 @@ std::optional<Bytes> Amf::handle_uplink(std::uint64_t ran_ue_id,
       // this fires thousands of times per run. The name fits the
       // small-string buffer, so the bump never allocates.
       counter_add("amf.nas.badmac");
+      ++nas_badmac_;
       return std::nullopt;
     }
     ++ctx.ul_count;

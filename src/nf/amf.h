@@ -75,6 +75,9 @@ class Amf : public Vnf {
     return identity_requests_;
   }
   std::uint64_t deregistrations() const noexcept { return deregistrations_; }
+  /// Secured uplinks dropped for a bad MAC or a stale COUNT; each also
+  /// bumps the process-wide amf.nas.badmac counter.
+  std::uint64_t nas_badmac() const noexcept { return nas_badmac_; }
 
   /// Releases a UE context (deregistration / RAN release).
   void release_ue(std::uint64_t ran_ue_id);
@@ -145,6 +148,7 @@ class Amf : public Vnf {
   std::uint64_t guti_reregistrations_ = 0;
   std::uint64_t identity_requests_ = 0;
   std::uint64_t deregistrations_ = 0;
+  std::uint64_t nas_badmac_ = 0;
 };
 
 }  // namespace shield5g::nf

@@ -194,6 +194,39 @@ TEST(CtFlow, TaintIsScopedPerFunction) {
   EXPECT_EQ(count_rule(findings, "ct-flow"), 0);
 }
 
+TEST(CtFlow, NamedScalarKernelSeedsItsRawScalar) {
+  // The X25519 kernels take the clamped scalar as raw bytes. By name,
+  // ladder_fraction's `k` is seeded and a branch on one of its bits is
+  // flagged; the same body under another name has no secret to track.
+  const std::string body =
+      "(const std::uint8_t k[32], int& n) {\n"
+      "  for (int t = 254; t >= 0; --t) {\n"
+      "    const std::uint64_t k_t = (k[t / 8] >> (t % 8)) & 1;\n"
+      "    if (k_t) continue;\n"
+      "    ++n;\n"
+      "  }\n"
+      "}\n";
+  EXPECT_TRUE(has(scan_source("x25519.cpp", "void ladder_fraction" + body),
+                  "ct-flow", 4));
+  EXPECT_EQ(count_rule(scan_source("x25519.cpp", "void count_steps" + body),
+                       "ct-flow"),
+            0);
+}
+
+TEST(CtFlow, AttributeMacroDoesNotSwallowTheNextNamespace) {
+  // A #define of an __attribute__((...)) spelling is not a function
+  // header: the namespace after it must not become its body.
+  const auto findings = scan_source(
+      "x25519_ifma.cpp",
+      "#define ATTR __attribute__((target(\"avx2\")))\n"
+      "namespace ns {\n"
+      "ATTR void ladder_fraction(const std::uint8_t k[32], int& n) {\n"
+      "  if (k[0] & 1) ++n;\n"
+      "}\n"
+      "}\n");
+  EXPECT_TRUE(has(findings, "ct-flow", 4));
+}
+
 TEST(CtFlow, CtAuditedSuppressesAndIsCounted) {
   AuditCounts audits;
   const auto findings = analyze_source(

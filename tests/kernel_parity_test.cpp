@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -375,6 +376,114 @@ TEST(KernelParity, X25519OpCountsMatchAcrossBackends) {
   };
   EXPECT_EQ(count(CryptoBackend::kScalar), count(CryptoBackend::kAccelerated));
   detail::x25519_cache_reset();
+}
+
+// ---------------------------------------------------------------------
+// X25519: the 4-lane IFMA ladder vs the portable 5x51 ladder
+// ---------------------------------------------------------------------
+
+#define SKIP_WITHOUT_IFMA()                                            \
+  if (!cpu_has_ifma())                                                 \
+  GTEST_SKIP() << "host lacks AVX-512 IFMA (or the OS does not save "  \
+                  "its state): only the portable ladder can run"
+
+TEST(KernelParity, X25519IfmaLadderRfc7748Vectors) {
+  SKIP_WITHOUT_IFMA();
+  // RFC 7748 section 5.2: two single scalar mults, then the iterated
+  // test k, u <- X25519(k, u), k from k = u = 9, after 1 and 1000 steps.
+  const struct {
+    const char* scalar;
+    const char* u;
+    const char* out;
+  } kVectors[] = {
+      {"a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+       "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
+       "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"},
+      {"4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
+       "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
+       "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"},
+  };
+  for (const auto& v : kVectors) {
+    EXPECT_EQ(hex_encode(detail::x25519_ladder_ifma(h2b(v.scalar), h2b(v.u))),
+              v.out);
+    EXPECT_EQ(
+        hex_encode(detail::x25519_ladder_portable(h2b(v.scalar), h2b(v.u))),
+        v.out);
+  }
+  // The iterated test's (scalar, point) pair is public here.
+  Bytes scalar(32, 0), point(32, 0);
+  scalar[0] = point[0] = 9;
+  for (int i = 1; i <= 1000; ++i) {
+    const X25519Key next = detail::x25519_ladder_ifma(scalar, point);
+    ASSERT_EQ(hex_encode(next),
+              hex_encode(detail::x25519_ladder_portable(scalar, point)))
+        << "iteration " << i;
+    point = scalar;
+    scalar.assign(next.begin(), next.end());
+    if (i == 1) {
+      EXPECT_EQ(hex_encode(scalar),
+                "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(hex_encode(scalar),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
+TEST(KernelParity, X25519IfmaLadderMatchesPortableRandom10k) {
+  SKIP_WITHOUT_IFMA();
+  // 10 000 random scalar/point pairs (about half the points on the
+  // twist), with every 16th item replaced by a special point: the
+  // low-order points (u = 0, 1, p - 1 and the two order-8 points),
+  // non-canonical encodings (p, p + 1, bit 255 set on the others) and
+  // u = 2^255 - 1.
+  const char* kSpecial[] = {
+      "0000000000000000000000000000000000000000000000000000000000000000",
+      "0100000000000000000000000000000000000000000000000000000000000000",
+      "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+      "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+      "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+  };
+  std::vector<Bytes> special;
+  for (const char* hex : kSpecial) {
+    special.push_back(h2b(hex));
+    Bytes high = special.back();
+    high[31] |= 0x80;
+    special.push_back(std::move(high));
+  }
+  Rng rng(0x25519'20);
+  int zero_outputs = 0, twist = 0, liftable = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const Bytes scalar = rng.bytes(32);
+    Bytes u = rng.bytes(32);
+    if (i % 16 == 0) u = special[(i / 16) % special.size()];
+    const X25519Key ifma = detail::x25519_ladder_ifma(scalar, u);
+    ASSERT_EQ(hex_encode(ifma),
+              hex_encode(detail::x25519_ladder_portable(scalar, u)))
+        << "item " << i << " u " << hex_encode(u);
+    if (ifma == X25519Key{}) ++zero_outputs;
+    // Liftability builds a throwaway table; sample the first items.
+    if (i < 64 && i % 16 != 0) {
+      ++(detail::x25519_comb_liftable(u) ? liftable : twist);
+    }
+  }
+  EXPECT_GT(zero_outputs, 0);  // the low-order points collapse to zero
+  EXPECT_GT(twist, 0);
+  EXPECT_GT(liftable, 0);
+}
+
+TEST(KernelParity, X25519LadderEngineFollowsBackend) {
+  const char* accel = cpu_has_ifma() ? "ifma4" : "portable";
+  with_backend(CryptoBackend::kScalar,
+               [] { EXPECT_STREQ(x25519_ladder_name(), "portable"); });
+  with_backend(CryptoBackend::kAccelerated,
+               [&] { EXPECT_STREQ(x25519_ladder_name(), accel); });
+  // The engine this process runs under SHIELD5G_CRYPTO_BACKEND, for
+  // the crypto-parity CI stage to check.
+  std::printf("kernel_parity: x25519_ladder=%s cpu_ifma=%d\n",
+              x25519_ladder_name(), cpu_has_ifma() ? 1 : 0);
 }
 
 // ---------------------------------------------------------------------

@@ -158,6 +158,7 @@ TEST_F(NegativeFixture, AmfCountsEachSecuredUplinkIntegrityFailureOnce) {
   ASSERT_FALSE(last_secured.empty());
 
   const std::uint64_t before = counter_value("amf.nas.badmac");
+  const std::uint64_t amf_before = slice_->amf().nas_badmac();
   // Stale COUNT: the replayed uplink carries a valid MAC.
   EXPECT_EQ(slice_->amf().handle_uplink(kRanUeId, last_secured), std::nullopt);
   EXPECT_EQ(counter_value("amf.nas.badmac") - before, 1u);
@@ -172,6 +173,8 @@ TEST_F(NegativeFixture, AmfCountsEachSecuredUplinkIntegrityFailureOnce) {
   // The untouched uplink still verifies and is not counted.
   (void)slice_->amf().handle_uplink(kRanUeId, fresh);
   EXPECT_EQ(counter_value("amf.nas.badmac") - before, 2u);
+  // The AMF's own count, which the reports print per mode, agrees.
+  EXPECT_EQ(slice_->amf().nas_badmac() - amf_before, 2u);
 }
 
 TEST_F(NegativeFixture, FailuresLeaveSliceServiceable) {

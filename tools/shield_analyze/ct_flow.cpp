@@ -37,15 +37,21 @@ bool public_method(const std::string& name) {
   return name == "size" || name == "empty" || name == "declassify";
 }
 
-/// Crypto entry points whose key material arrives as plain byte arrays
-/// — a lane-sliced kernel takes scalars in a wire shape such as
-/// uint8_t k[4][32], which the Secret type system cannot mark.
-/// Seeding the named parameter keeps secret-dependent control flow
-/// inside such kernels visible to this pass.
+/// Crypto kernels whose key material arrives as plain byte arrays: the
+/// X25519 ladders and the comb take the clamped scalar as uint8_t k[32]
+/// (a lane-sliced kernel as uint8_t k[4][32]), which the Secret type
+/// system cannot mark. Seeding the named parameter keeps
+/// secret-dependent control flow inside such kernels visible to this
+/// pass. lanes_ladder4 is the fixture's lane-sliced kernel.
 const std::unordered_map<std::string, std::vector<std::string>>&
 entry_point_secret_params() {
   static const std::unordered_map<std::string, std::vector<std::string>>
       kMap{
+          {"ladder_fraction", {"k"}},
+          {"ladder_fraction_ifma", {"k"}},
+          {"fixed_fraction", {"k"}},
+          {"comb_eval_fraction", {"scalar32"}},
+          {"signed_digits", {"scalar32"}},
           {"lanes_ladder4", {"k"}},
       };
   return kMap;
@@ -345,12 +351,23 @@ class FunctionTaint {
 
 void run_ct_flow(const std::string& file, const std::vector<Tok>& toks,
                  std::vector<Finding>& findings) {
+  // Preprocessor directive lines. `#define ATTR __attribute__((...))`
+  // followed by `namespace ns {` would otherwise read as a function
+  // header whose body is the whole namespace, hiding every function in
+  // it from the per-function scan.
+  std::unordered_set<int> directive_lines;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].text == "#" && (i == 0 || toks[i - 1].line != toks[i].line)) {
+      directive_lines.insert(toks[i].line);
+    }
+  }
   // Lexical function discovery: `ident ( ... ) [qualifiers] {` at any
   // nesting level; the body (and its lambdas) is one taint scope.
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].text != "(" || i == 0) continue;
     const Tok& name = toks[i - 1];
     if (!name.ident || keyword(name.text)) continue;
+    if (directive_lines.count(name.line) > 0) continue;
     const std::size_t close = match_paren(toks, i);
     if (close >= toks.size()) continue;
     std::size_t j = close + 1;

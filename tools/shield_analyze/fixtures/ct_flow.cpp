@@ -62,6 +62,17 @@ void lanes_ladder4(const std::uint8_t k[4][32], std::uint8_t* out) {
   }
 }
 
+// A scalar kernel takes the clamped scalar as raw bytes too (the
+// X25519 ladder's uint8_t k[32]); seeded by name, the taint follows the
+// scalar's bits into a local.
+void ladder_fraction(const std::uint8_t k[32], int& steps) {
+  for (int t = 254; t >= 0; --t) {
+    const std::uint64_t k_t = (k[t / 8] >> (t % 8)) & 1;
+    if (k_t) continue;  // lint-expect(ct-flow)
+    ++steps;
+  }
+}
+
 // x25519_clamp() writes clamped key material: its destination is
 // secret even when the scalar reached it through a struct member the
 // lexical taint cannot see through.
